@@ -25,12 +25,11 @@ from numpy.typing import NDArray
 
 from .errors import (
     BbaFormatError,
-    DegenerateUniverseError,
     DimensionMismatchError,
     EmptySubsetError,
     UnnormalizedMassError,
 )
-from .model import PairRelation, WeakOrder, chain_order
+from .model import PairRelation, WeakOrder, common_size
 
 ATOM_SUCC = 0b001
 ATOM_EQUIV = 0b010
@@ -91,10 +90,10 @@ class MassFunction:
             raise UnnormalizedMassError(f"mass vector needs 8 components, got {len(values)}")
         if values[0] != 0.0:
             raise UnnormalizedMassError(f"empty set must carry zero mass, got {values[0]}")
-        if any(v < 0.0 for v in values):
+        if not all(v >= 0.0 for v in values):  # a NaN fails this and the sum test
             raise UnnormalizedMassError("masses must be non-negative")
         total = sum(values)
-        if abs(total - 1.0) > _MASS_TOLERANCE:
+        if not abs(total - 1.0) <= _MASS_TOLERANCE:
             raise UnnormalizedMassError(f"masses sum to {total!r}, expected 1")
 
     @classmethod
@@ -149,6 +148,11 @@ def bba_from_relation(relation: PairRelation) -> MassFunction:
     return MassFunction.certain(_RELATION_MASK[relation])
 
 
+#: The mass function of each relation code (see WeakOrder.relation_codes).
+_CODE_MASS = tuple(bba_from_relation(relation) for relation in PairRelation)
+_SUCC, _PREC = (list(PairRelation).index(r) for r in (PairRelation.SUCC, PairRelation.PREC))
+
+
 @dataclass(frozen=True)
 class BbaMatrix:
     """N x N grid of mass functions; cell (i, j) judges object i against object j."""
@@ -174,12 +178,8 @@ class BbaMatrix:
 def build_bba_matrix(ppo: WeakOrder) -> BbaMatrix:
     """Encode a (partial) order: certain cells for known comparisons, vacuous
     cells for unmentioned pairs, tie-certain diagonal."""
-    n = ppo.universe_size
     return BbaMatrix(
-        tuple(
-            tuple(bba_from_relation(ppo.relation(i, j)) for j in range(n))
-            for i in range(n)
-        )
+        tuple(tuple(_CODE_MASS[code] for code in row) for row in ppo.relation_codes().tolist())
     )
 
 
@@ -249,6 +249,13 @@ _METRIC_METHOD_NAME = {
 #: Reference mass for the indirect score: certain strict preference of row over column.
 _SUCC_CERTAIN = MassFunction.certain(ATOM_SUCC)
 
+#: Per metric, the indirect score of each relation code: a cell's score
+#: depends only on its relation, so four metric calls cover every grid.
+_CODE_SCORE = {
+    metric: np.array([distance(mass, _SUCC_CERTAIN) for mass in _CODE_MASS])
+    for metric, distance in _METRIC_FN.items()
+}
+
 
 @dataclass(frozen=True)
 class DistanceReport:
@@ -260,40 +267,22 @@ class DistanceReport:
     normalized: float
 
 
-def _check_pair(ppo1: WeakOrder, ppo2: WeakOrder) -> int:
-    if ppo1.universe_size != ppo2.universe_size:
-        raise DimensionMismatchError(
-            f"orderings over different universes: {ppo1.universe_size} vs {ppo2.universe_size}"
-        )
-    n = ppo1.universe_size
-    if n < 2:
-        raise DegenerateUniverseError(
-            f"normalized distances need at least two objects, got {n}"
-        )
-    return n
-
-
-def _mass_grid_distance(b1: BbaMatrix, b2: BbaMatrix) -> float:
-    # Equals the Frobenius norm of the flattened 8N x 8N difference: each mass
-    # component appears exactly once in the sum of squares either way.
-    return float(np.linalg.norm(b1.as_array() - b2.as_array()))
-
-
 def _direct_max(n: int) -> float:
-    chain = chain_order(n)
-    return _mass_grid_distance(
-        build_bba_matrix(chain), build_bba_matrix(chain.reverse())
-    )
+    # The chain and its reversal disagree on all n(n-1) off-diagonal cells,
+    # each with two unit mass components apart.
+    return math.sqrt(2 * n * (n - 1))
 
 
 def direct_distance(ppo1: WeakOrder, ppo2: WeakOrder) -> DistanceReport:
     """Distance between two (partial) orders through their full mass grids.
 
     No enumeration is involved: cost is quadratic in the number of objects.
+    Cells of different relations differ by 1 in exactly two mass components.
     Normalization divides by the chain-vs-reversed-chain distance.
     """
-    n = _check_pair(ppo1, ppo2)
-    raw = _mass_grid_distance(build_bba_matrix(ppo1), build_bba_matrix(ppo2))
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
+    differing = int(np.count_nonzero(ppo1.relation_codes() != ppo2.relation_codes()))
+    raw = math.sqrt(2 * differing)
     maximum = _direct_max(n)
     return DistanceReport("direct", raw, maximum, raw / maximum)
 
@@ -302,17 +291,15 @@ def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
     """Direct distance for caller-supplied mass grids.
 
     Accepts any normalized cells, so probabilistic and imprecise pairwise
-    judgments are fine.  Normalization still uses the chain-built maximum, so
-    adversarial grids (for example with conflicting diagonals) can exceed 1.
+    judgments are fine.  Normalization still divides by the order-based
+    maximum sqrt(2N(N-1)), so adversarial grids (for example with conflicting
+    diagonals) can exceed 1.
     """
-    if b1.n != b2.n:
-        raise DimensionMismatchError(f"grid sizes differ: {b1.n} vs {b2.n}")
-    if b1.n < 2:
-        raise DegenerateUniverseError(
-            f"normalized distances need at least two objects, got {b1.n}"
-        )
-    raw = _mass_grid_distance(b1, b2)
-    maximum = _direct_max(b1.n)
+    n = common_size(b1.n, b2.n)
+    # Equals the Frobenius norm of the flattened 8N x 8N difference: each mass
+    # component appears exactly once in the sum of squares either way.
+    raw = float(np.linalg.norm(b1.as_array() - b2.as_array()))
+    maximum = _direct_max(n)
     return DistanceReport("direct", raw, maximum, raw / maximum)
 
 
@@ -323,14 +310,7 @@ def indirect_psm(ppo: WeakOrder, metric: BbaMetric) -> NDArray[np.float64]:
     Certain strict preference scores 0, certain reversal or tie scores 1,
     ignorance lands strictly in between, and the diagonal is all ones.
     """
-    distance = _METRIC_FN[metric]
-    cells = build_bba_matrix(ppo).cells
-    n = ppo.universe_size
-    entries = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = distance(cells[i][j], _SUCC_CERTAIN)
-    return entries
+    return _CODE_SCORE[metric][ppo.relation_codes()]
 
 
 def indirect_distance(
@@ -342,12 +322,11 @@ def indirect_distance(
     method: the N x N matrix keeps only each cell's distance to the
     reference, not the cell itself.
     """
-    n = _check_pair(ppo1, ppo2)
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
     raw = float(np.linalg.norm(indirect_psm(ppo1, metric) - indirect_psm(ppo2, metric)))
-    chain = chain_order(n)
-    maximum = float(
-        np.linalg.norm(indirect_psm(chain, metric) - indirect_psm(chain.reverse(), metric))
-    )
+    # The chain and its reversal swap SUCC and PREC on every off-diagonal cell.
+    scores = _CODE_SCORE[metric]
+    maximum = math.sqrt(n * (n - 1)) * float(abs(scores[_PREC] - scores[_SUCC]))
     return DistanceReport(_METRIC_METHOD_NAME[metric], raw, maximum, raw / maximum)
 
 

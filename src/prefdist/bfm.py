@@ -16,8 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .enumeration import compatible_tpos
-from .errors import DegenerateUniverseError, DimensionMismatchError
-from .model import WeakOrder
+from .model import WeakOrder, common_size
 from .psm import PsmConvention, build_psm, frobenius_distance, max_psm_distance
 
 
@@ -68,15 +67,7 @@ def bfm_grid(
     Rows follow the deterministic enumeration order of ppo1's completions,
     columns that of ppo2's.
     """
-    if ppo1.universe_size != ppo2.universe_size:
-        raise DimensionMismatchError(
-            f"orderings over different universes: {ppo1.universe_size} vs {ppo2.universe_size}"
-        )
-    n = ppo1.universe_size
-    if n < 2:
-        raise DegenerateUniverseError(
-            f"normalized distances need at least two objects, got {n}"
-        )
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
     maximum = max_psm_distance(n, convention)
     psms1 = [build_psm(t, convention) for t in compatible_tpos(ppo1, cap=cap).ctpos]
     psms2 = [build_psm(t, convention) for t in compatible_tpos(ppo2, cap=cap).ctpos]

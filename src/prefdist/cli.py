@@ -71,15 +71,18 @@ def _parse_pref(text: str, universe: ObjectUniverse, field: str) -> WeakOrder:
 
 
 def _effective_cap(flag: int | None) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("PREFDIST_CAP")
-    if env is not None:
+    field, cap = "--cap", flag
+    if flag is None:
+        field, env = "PREFDIST_CAP", os.environ.get("PREFDIST_CAP")
+        if env is None:
+            return DEFAULT_ENUMERATION_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
-            raise _UsageError("PREFDIST_CAP", f"not an integer: {env!r}") from None
-    return DEFAULT_ENUMERATION_CAP
+            raise _UsageError(field, f"not an integer: {env!r}") from None
+    if cap < 1:
+        raise _UsageError(field, f"must be at least 1, got {cap}")
+    return cap
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:

@@ -20,9 +20,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+from numpy.typing import NDArray
+
 from .errors import (
+    DegenerateUniverseError,
     DimensionMismatchError,
     DuplicateObjectError,
     EmptyExpressionError,
@@ -34,7 +39,7 @@ from .errors import (
 
 
 class PairRelation(Enum):
-    """Outcome of comparing two objects under a weak order."""
+    """Outcome of comparing two objects; a member's position is its relation code."""
 
     SUCC = "succ"  # row object strictly preferred
     EQUIV = "equiv"  # tied
@@ -115,9 +120,29 @@ class WeakOrder:
     def is_total(self) -> bool:
         return len(self.mentioned) == self.universe_size
 
+    @cached_property
+    def rank_vector(self) -> NDArray[np.int64]:
+        """Read-only class position of each object (0 = most preferred, -1 = unmentioned)."""
+        ranks = [-1] * self.universe_size
+        for pos, group in enumerate(self.classes):
+            for idx in group:
+                ranks[idx] = pos
+        vector = np.array(ranks, dtype=np.int64)
+        vector.flags.writeable = False
+        return vector
+
+    def relation_codes(self) -> NDArray[np.int8]:
+        """N x N codes with ``list(PairRelation)[codes[i, j]] is self.relation(i, j)``:
+        SUCC 0, EQUIV 1 (also the diagonal), PREC 2, UNKNOWN 3."""
+        r = self.rank_vector
+        codes = (np.sign(r[:, None] - r[None, :]) + 1).astype(np.int8)
+        codes[(r[:, None] < 0) | (r[None, :] < 0)] = 3
+        np.fill_diagonal(codes, 1)
+        return codes
+
     def ranks(self) -> dict[int, int]:
         """Class position of every mentioned index (0 = most preferred)."""
-        return {idx: pos for pos, group in enumerate(self.classes) for idx in group}
+        return {idx: pos for idx, pos in enumerate(self.rank_vector.tolist()) if pos >= 0}
 
     def relation(self, i: int, j: int) -> PairRelation:
         """Compare objects i and j; UNKNOWN when either is unmentioned (i != j)."""
@@ -128,9 +153,8 @@ class WeakOrder:
                 )
         if i == j:
             return PairRelation.EQUIV
-        ranks = self.ranks()
-        ri, rj = ranks.get(i), ranks.get(j)
-        if ri is None or rj is None:
+        ri, rj = self.rank_vector[i], self.rank_vector[j]
+        if ri < 0 or rj < 0:
             return PairRelation.UNKNOWN
         if ri == rj:
             return PairRelation.EQUIV
@@ -158,6 +182,15 @@ class WeakOrder:
             if kept:
                 groups.append(kept)
         return WeakOrder(tuple(groups), self.universe_size)
+
+
+def common_size(n1: int, n2: int) -> int:
+    """The universe size shared by two operands of a normalized distance (>= 2)."""
+    if n1 != n2:
+        raise DimensionMismatchError(f"operands over different universes: {n1} vs {n2}")
+    if n1 < 2:
+        raise DegenerateUniverseError(f"normalized distances need at least two objects, got {n1}")
+    return n1
 
 
 def chain_order(n: int) -> WeakOrder:

@@ -14,7 +14,7 @@ from .errors import (
     DimensionMismatchError,
     NotTotalError,
 )
-from .model import WeakOrder, chain_order
+from .model import WeakOrder, chain_order, common_size
 
 
 class PsmConvention(Enum):
@@ -40,14 +40,9 @@ def build_psm(
     Raises NotTotalError when the order leaves any object unmentioned: a
     partial order has no well-defined score for the missing pairs.
     """
-    n = tpo.universe_size
-    ranks = [-1] * n
-    for pos, group in enumerate(tpo.classes):
-        for idx in group:
-            ranks[idx] = pos
-    if any(rank < 0 for rank in ranks):
+    if not tpo.is_total:
         raise NotTotalError("ordering does not mention every object in the universe")
-    r = np.asarray(ranks, dtype=np.float64)
+    r = tpo.rank_vector.astype(np.float64)
     signed = np.sign(r[None, :] - r[:, None])  # +1 where row outranks column
     if convention is PsmConvention.SIGNED:
         entries = signed
@@ -98,9 +93,6 @@ def normalized_distance(
     The value is the same under both conventions: unit-convention matrices
     are an affine rescaling of signed ones, and the normalization cancels it.
     """
-    if tpo1.universe_size != tpo2.universe_size:
-        raise DimensionMismatchError(
-            f"orderings over different universes: {tpo1.universe_size} vs {tpo2.universe_size}"
-        )
+    n = common_size(tpo1.universe_size, tpo2.universe_size)
     raw = frobenius_distance(build_psm(tpo1, convention), build_psm(tpo2, convention))
-    return raw / max_psm_distance(tpo1.universe_size, convention)
+    return raw / max_psm_distance(n, convention)

@@ -68,6 +68,11 @@ class TestMassFunction:
         with pytest.raises(UnnormalizedMassError):
             MassFunction((0, 1.5, -0.5, 0, 0, 0, 0, 0))
 
+    def test_nan_component_rejected(self):
+        # NaN passes neither the sign test nor the sum test
+        with pytest.raises(UnnormalizedMassError):
+            MassFunction((0, math.nan, 0, 0, 0, 0, 0, 1))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(UnnormalizedMassError):
             MassFunction((0, 1))
@@ -291,6 +296,17 @@ class TestDirectDistanceGeneral:
         report = direct_distance_general(b1, b2)
         assert report.raw == pytest.approx(1.4)
         assert report.raw == pytest.approx(math.sqrt(2) * math.sqrt(0.8**2 + 0.3**2 + 0.5**2))
+
+    def test_conflicting_diagonals_exceed_one(self):
+        # the one sanctioned out-of-range case: the grids disagree on every
+        # cell, diagonal included, while the maximum counts off-diagonal cells
+        b1 = BbaMatrix(((SUCC_SURE, SUCC_SURE), (PREC_SURE, SUCC_SURE)))
+        b2 = BbaMatrix(((PREC_SURE, PREC_SURE), (SUCC_SURE, PREC_SURE)))
+        report = direct_distance_general(b1, b2)
+        assert report.raw == math.sqrt(8)
+        assert report.max == 2.0
+        assert report.normalized > 1.0
+        assert report.normalized == pytest.approx(math.sqrt(2))
 
     def test_size_mismatch(self, pref):
         two = BbaMatrix(((EQUIV_SURE, VACUOUS), (VACUOUS, EQUIV_SURE)))

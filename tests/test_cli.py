@@ -212,6 +212,21 @@ class TestDistGeneral:
         assert code == 2
         assert "(0, 1)" in err
 
+    def test_nan_mass_exits_2_naming_the_cell(self, capsys, tmp_path):
+        bad = {
+            "n": 2,
+            "cells": [
+                [{"2": 1.0}, {"1": float("nan"), "2": 1.0}],
+                [{"3": 1.0}, {"2": 1.0}],
+            ],
+        }
+        p1 = self._write(tmp_path, "nan.json", bad)
+        assert "NaN" in (tmp_path / "nan.json").read_text()
+        code, out, err = run(capsys, "dist-general", p1, p1)
+        assert code == 2
+        assert out == ""
+        assert "cell (0, 1)" in err
+
     def test_empty_set_key_rejected(self, capsys, tmp_path):
         bad = {"n": 2, "cells": [[{"2": 1.0}, {"0": 1.0}], [{"3": 1.0}, {"2": 1.0}]]}
         p1 = self._write(tmp_path, "bad.json", bad)
@@ -258,6 +273,26 @@ class TestEnumerateCommand:
         monkeypatch.setenv("PREFDIST_CAP", "9")
         code, out, _ = run(capsys, "enumerate", "--n", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_cap_flag_exits_2(self, capsys, cap):
+        for argv in (
+            ["enumerate", "--n", "3", "--cap", cap],
+            ["dist", "--method", "bfm", "--objects", "A,B,C",
+             "--pref1", "C>A", "--pref2", "A>B", "--cap", cap],
+            ["compatible", "--objects", "A,B,C", "--pref", "C>A", "--cap", cap],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "--cap" in err
+
+    def test_non_positive_env_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREFDIST_CAP", "0")
+        code, out, err = run(capsys, "enumerate", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "PREFDIST_CAP" in err
 
     def test_flag_cap_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PREFDIST_CAP", "2")

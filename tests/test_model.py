@@ -146,6 +146,22 @@ class TestRelation:
         with pytest.raises(IndexOutOfRangeError):
             pref("C > A").relation(0, 3)
 
+    def test_rank_vector_marks_unmentioned_objects(self, pref):
+        assert pref("C > A").rank_vector.tolist() == [1, -1, 0]
+        assert pref("C > (A = B)").rank_vector.tolist() == [1, 1, 0]
+
+    def test_rank_vector_is_read_only(self, pref):
+        with pytest.raises(ValueError):
+            pref("C > A").rank_vector[1] = 0
+
+    def test_relation_codes_of_a_partial_order(self, pref):
+        # SUCC 0, EQUIV 1, PREC 2, UNKNOWN 3; row object against column object
+        assert pref("C > A").relation_codes().tolist() == [
+            [1, 3, 2],
+            [3, 1, 3],
+            [0, 3, 1],
+        ]
+
     def test_antisymmetry_over_all_orders_of_three(self):
         for order in enumerate_weak_orders(3):
             for i in range(3):

@@ -19,7 +19,6 @@ from prefdist import (
     ObjectUniverse,
     PairRelation,
     PsmConvention,
-    WeakOrder,
     bfm_distance,
     build_psm,
     chain_order,
@@ -32,21 +31,7 @@ from prefdist import (
     render_preference,
 )
 
-
-@st.composite
-def weak_orders(draw, min_n=1, max_n=5, total=False):
-    n = draw(st.integers(min_n, max_n))
-    ranks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    if total:
-        kept = list(range(n))
-    else:
-        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        kept = [i for i, flag in enumerate(flags) if flag]
-    levels = sorted({ranks[i] for i in kept})
-    classes = tuple(
-        tuple(i for i in kept if ranks[i] == level) for level in levels
-    )
-    return WeakOrder(classes, n)
+from strategies import weak_orders
 
 
 @st.composite
@@ -216,7 +201,8 @@ class TestPsmStructure:
         entries = build_psm(order, PsmConvention.SIGNED).entries
         assert np.array_equal(entries.T, -entries)
 
-    @given(weak_orders(min_n=2, max_n=5, total=True), weak_orders(min_n=2, max_n=5, total=True))
-    def test_normalized_distance_in_unit_interval(self, a, b):
-        assume(a.universe_size == b.universe_size)
+    @given(st.integers(2, 5), st.data())
+    def test_normalized_distance_in_unit_interval(self, n, data):
+        a = data.draw(weak_orders(min_n=n, max_n=n, total=True))
+        b = data.draw(weak_orders(min_n=n, max_n=n, total=True))
         assert 0.0 <= normalized_distance(a, b) <= 1.0 + 1e-12
