@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .enumeration import compatible_tpos
 from .model import WeakOrder, common_size
-from .psm import PsmConvention, build_psm, frobenius_distance, max_psm_distance
+from .psm import PsmConvention, build_psm, max_psm_distance
 
 
 class Attitude(Enum):
@@ -47,12 +47,7 @@ class BfmReport:
         return (self.grid.shape[0], self.grid.shape[1])
 
     def value(self, attitude: Attitude) -> float:
-        return {
-            Attitude.OPTIMISTIC: self.optim,
-            Attitude.PESSIMISTIC: self.pessim,
-            Attitude.AVERAGE: self.aver,
-            Attitude.HURWICZ: self.hurwicz,
-        }[attitude]
+        return getattr(self, attitude.value)  # each value names its field
 
 
 def bfm_grid(
@@ -68,14 +63,16 @@ def bfm_grid(
     columns that of ppo2's.
     """
     n = common_size(ppo1.universe_size, ppo2.universe_size)
-    maximum = max_psm_distance(n, convention)
-    psms1 = [build_psm(t, convention) for t in compatible_tpos(ppo1, cap=cap).ctpos]
-    psms2 = [build_psm(t, convention) for t in compatible_tpos(ppo2, cap=cap).ctpos]
-    grid = np.empty((len(psms1), len(psms2)))
-    for i, m1 in enumerate(psms1):
-        for j, m2 in enumerate(psms2):
-            grid[i, j] = frobenius_distance(m1, m2) / maximum
-    return grid
+    a, b = (
+        np.array([build_psm(t, convention).entries.ravel() for t in side.ctpos])
+        for side in (compatible_tpos(ppo1, cap=cap), compatible_tpos(ppo2, cap=cap))
+    )
+    # ||a||^2 + ||b||^2 - 2 a.b in place: entries are multiples of 1/2 and no sum
+    # exceeds 4n^2, so every term is exact and so is each squared distance.
+    grid = (-2.0 * a) @ b.T
+    grid += np.einsum("ij,ij->i", a, a)[:, None]
+    grid += np.einsum("ij,ij->i", b, b)
+    return np.divide(np.sqrt(grid, out=grid), max_psm_distance(n, convention), out=grid)
 
 
 def bfm_distance(

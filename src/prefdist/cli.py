@@ -9,6 +9,7 @@ over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,16 +36,9 @@ from .psm import PsmConvention, max_psm_distance
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CONVENTIONS = {"signed": PsmConvention.SIGNED, "unit": PsmConvention.UNIT}
 _METRICS = {
     "indirect-j": BbaMetric.JOUSSELME,
     "indirect-bi": BbaMetric.BELIEF_INTERVAL,
-}
-_ATTITUDES = {
-    "optim": Attitude.OPTIMISTIC,
-    "pessim": Attitude.PESSIMISTIC,
-    "aver": Attitude.AVERAGE,
-    "hurwicz": Attitude.HURWICZ,
 }
 
 
@@ -122,20 +116,20 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         "pref2": render_preference(pref2, universe),
     }
     if args.method == "bfm":
-        convention = _CONVENTIONS[args.conv]
+        convention = PsmConvention(args.conv)
         report = bfm_distance(
             pref1, pref2, convention, alpha=alpha, cap=_effective_cap(args.cap)
         )
         attitude = args.attitude or "all"
         headline = (
-            report.aver if attitude == "all" else report.value(_ATTITUDES[attitude])
+            report.aver if attitude == "all" else report.value(Attitude(attitude))
         )
         maximum = max_psm_distance(len(universe), convention)
         payload.update(
             raw=headline * maximum,
             max=maximum,
             normalized=headline,
-            grid=[[float(v) for v in row] for row in report.grid],
+            grid=report.grid.tolist(),
             optim=report.optim,
             pessim=report.pessim,
             aver=report.aver,
@@ -199,6 +193,7 @@ def _cmd_compatible(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefdist",
@@ -221,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dist.add_argument(
         "--conv",
-        choices=sorted(_CONVENTIONS),
+        choices=[c.value for c in PsmConvention],
         default="signed",
         help="score-matrix convention for bfm (the normalized value is identical)",
     )

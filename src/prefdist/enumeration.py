@@ -1,4 +1,4 @@
-"""Exhaustive generation of weak orders and compatible-completion filtering.
+"""Exhaustive generation of weak orders and of the completions of a partial one.
 
 The number of weak orders of n objects is the n-th ordered Bell (Fubini)
 number: 1, 3, 13, 75, 541, 4683, ...  The blowup is guarded by a hard cap;
@@ -8,7 +8,7 @@ exceeding it raises instead of truncating silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 from .model import WeakOrder
@@ -17,13 +17,16 @@ from .model import WeakOrder
 DEFAULT_ENUMERATION_CAP = 8
 
 
-def _rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical rank vectors of length n, in lexicographic order.
+def _rank_vectors(fixed: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Canonical rank vectors agreeing with ``fixed``, in lexicographic order.
 
     vec[i] is the class position of object i (0 = most preferred).  A vector
     is canonical when the set of used values is {0, ..., max}; each such
-    vector corresponds to exactly one weak order.
+    vector corresponds to exactly one weak order.  ``fixed`` is a partial
+    order's rank vector (-1 = unmentioned); a mentioned object only takes the
+    values [lo, hi) that keep its relation to the mentioned objects before it.
     """
+    n = len(fixed)
     vec: list[int] = []
     counts = [0] * n
 
@@ -34,7 +37,14 @@ def _rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(vec)
             return
         remaining = n - pos
-        for value in range(n):
+        lo, hi, rank = 0, n, fixed[pos]
+        if rank >= 0:
+            for other, value in zip(fixed, vec):
+                if 0 <= other <= rank:
+                    lo = max(lo, value + (other < rank))
+                if other >= rank:
+                    hi = min(hi, value + (other == rank))
+        for value in range(lo, hi):
             if counts[value] == 0:
                 if value <= used_max:
                     new_max, new_holes = used_max, holes - 1
@@ -53,6 +63,14 @@ def _rank_vectors(n: int) -> Iterator[tuple[int, ...]]:
     yield from extend(-1, 0)
 
 
+def _check_size(n: int, cap: int | None) -> None:
+    if n < 1:
+        raise ValueError(f"need at least one object, got {n}")
+    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if n > limit:
+        raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
+
+
 def _order_from_ranks(ranks: tuple[int, ...]) -> WeakOrder:
     buckets: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for idx, rank in enumerate(ranks):
@@ -66,12 +84,8 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     The sequence is deterministic and repeatable: orders appear in
     lexicographic order of their rank vectors.
     """
-    if n < 1:
-        raise ValueError(f"need at least one object, got {n}")
-    limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
-    return (_order_from_ranks(ranks) for ranks in _rank_vectors(n))
+    _check_size(n, cap)
+    return map(_order_from_ranks, _rank_vectors((-1,) * n))
 
 
 @dataclass(frozen=True)
@@ -89,14 +103,10 @@ class CompatibleSet:
 def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
     """Every total order whose restriction to the mentioned objects equals ``ppo``.
 
+    The enumeration generates them directly and builds no incompatible order.
     An order mentioning nothing is compatible with every total order; a total
-    order is compatible only with itself.  Completion order follows the
-    enumeration order.
+    order only with itself.  Completions follow the enumeration order.
     """
-    mentioned = ppo.mentioned
-    matches = tuple(
-        candidate
-        for candidate in enumerate_weak_orders(ppo.universe_size, cap=cap)
-        if candidate.restrict(mentioned) == ppo
-    )
-    return CompatibleSet(ppo, matches)
+    _check_size(ppo.universe_size, cap)
+    ranks = ppo.rank_vector.tolist()
+    return CompatibleSet(ppo, tuple(map(_order_from_ranks, _rank_vectors(ranks))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -14,7 +15,7 @@ from .errors import (
     DimensionMismatchError,
     NotTotalError,
 )
-from .model import WeakOrder, chain_order, common_size
+from .model import WeakOrder, common_size
 
 
 class PsmConvention(Enum):
@@ -70,17 +71,14 @@ def max_psm_distance(n: int, convention: PsmConvention = PsmConvention.SIGNED) -
     """Distance between the strict chain over n objects and its reversal.
 
     This is the normalization constant: the two orders are in full
-    contradiction.  Closed forms, asserted by the regression tests:
-    2*sqrt(n(n-1)) for the signed convention, sqrt(n(n-1)) for the unit one.
+    contradiction.  Every off-diagonal entry differs by 2 (signed) or 1
+    (unit), so it is 2*sqrt(n(n-1)) or sqrt(n(n-1)), exactly as computed.
     """
     if n < 2:
         raise DegenerateUniverseError(
             f"maximal distance needs at least two objects, got {n}"
         )
-    chain = chain_order(n)
-    return frobenius_distance(
-        build_psm(chain, convention), build_psm(chain.reverse(), convention)
-    )
+    return math.sqrt(n * (n - 1)) * (2 if convention is PsmConvention.SIGNED else 1)
 
 
 def normalized_distance(

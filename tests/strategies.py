@@ -1,8 +1,21 @@
-"""Hypothesis strategies shared by the property and differential tests."""
+"""Order generators shared by the property and differential tests."""
+
+import itertools
 
 from hypothesis import strategies as st
 
-from prefdist import WeakOrder
+from prefdist import WeakOrder, enumerate_weak_orders
+
+
+def all_partial_orders(n):
+    """Every weak order over every subset of n objects, the empty order first."""
+    orders = [WeakOrder((), n)]
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            for order in enumerate_weak_orders(k):
+                classes = tuple(tuple(subset[i] for i in group) for group in order.classes)
+                orders.append(WeakOrder(classes, n))
+    return orders
 
 
 @st.composite

@@ -117,6 +117,20 @@ class TestDist:
         assert payload["max"] == expected.max
         assert payload["normalized"] == expected.normalized
 
+    def test_bfm_grid_is_the_library_grid(self, capsys):
+        from prefdist import ObjectUniverse, bfm_grid, parse_preference
+
+        universe = ObjectUniverse(("A", "B", "C", "D"))
+        expected = bfm_grid(
+            parse_preference("D>A", universe), parse_preference("(A=B)>C", universe)
+        )
+        payload = run_json(
+            capsys,
+            "dist", "--method", "bfm", "--objects", "A,B,C,D",
+            "--pref1", "D>A", "--pref2", "(A=B)>C",
+        )
+        assert payload["grid"] == expected.tolist()
+
     def test_unknown_object_exits_2_naming_the_field(self, capsys):
         code, _, err = run(
             capsys, "dist", "--objects", "A,B,C", "--pref1", "D>A", "--pref2", "A>B"
@@ -319,3 +333,37 @@ class TestCompatibleCommand:
         code, _, err = run(capsys, "compatible", "--objects", "A,B,C", "--pref", "C >")
         assert code == 2
         assert "--pref" in err
+
+
+class TestRepeatedCalls:
+    """The parser is built once and reused, so calls must not leak into each other."""
+
+    def test_bfm_call_leaves_no_bfm_keys_behind(self, capsys):
+        bfm = run_json(
+            capsys,
+            "dist", "--method", "bfm", "--attitude", "optim", "--objects", "A,B,C",
+            "--pref1", "C>A", "--pref2", "A>B",
+        )
+        assert bfm["normalized"] == 0.0
+        direct = run_json(
+            capsys,
+            "dist", "--method", "direct", "--objects", "A,B,C",
+            "--pref1", "C>A", "--pref2", "A>B",
+        )
+        assert set(direct) == {"method", "objects", "pref1", "pref2", "raw", "max", "normalized"}
+        assert direct["normalized"] == pytest.approx(0.8165, abs=TOL)
+
+    def test_failed_calls_leave_the_next_call_working(self, capsys):
+        code, _, err = run(
+            capsys, "dist", "--objects", "A,B,C", "--pref1", "D>A", "--pref2", "A>B"
+        )
+        assert code == 2 and "--pref1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B",
+                  "--conv", "square"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        payload = run_json(
+            capsys, "dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"
+        )
+        assert payload["method"] == "direct"

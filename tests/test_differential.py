@@ -1,14 +1,18 @@
-"""Differential tests: the rank-vector paths against the per-cell reference.
+"""Differential tests: the fast paths against the slow reference implementations.
 
-The reference functions below are the original cell-by-cell implementations:
-one relation per object pair read from a rank dictionary, one mass function
-per grid cell, one metric call per cell, and maxima measured between the
-strict chain and its reversal.  They are slow and stay here only as oracles.
+The reference functions below are the original implementations: one relation
+per object pair read from a rank dictionary, one mass function per grid cell,
+one metric call per cell, and maxima measured between the strict chain and
+its reversal; for the brute-force method, completions found by filtering
+every weak order and one Frobenius distance per completion pair.  They are
+slow and stay here only as oracles.
 """
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefdist import (
@@ -16,19 +20,29 @@ from prefdist import (
     BbaMatrix,
     BbaMetric,
     MassFunction,
+    ObjectUniverse,
     PairRelation,
+    PsmConvention,
+    WeakOrder,
     bba_from_relation,
     belief_interval_distance,
+    bfm_grid,
     build_bba_matrix,
+    build_psm,
     chain_order,
+    compatible_tpos,
     direct_distance,
     direct_distance_general,
+    enumerate_weak_orders,
+    frobenius_distance,
     indirect_distance,
     indirect_psm,
     jousselme_distance,
+    max_psm_distance,
+    parse_preference,
 )
 
-from strategies import weak_orders
+from strategies import all_partial_orders, weak_orders
 
 MAX_N = 7
 REFERENCE_METRIC = {
@@ -92,10 +106,37 @@ def reference_indirect_max(n, metric):
     )
 
 
+def reference_compatible_tpos(ppo):
+    mentioned = ppo.mentioned
+    return tuple(
+        candidate
+        for candidate in enumerate_weak_orders(ppo.universe_size)
+        if candidate.restrict(mentioned) == ppo
+    )
+
+
+def reference_max_psm_distance(n, convention):
+    chain = chain_order(n)
+    return frobenius_distance(
+        build_psm(chain, convention), build_psm(chain.reverse(), convention)
+    )
+
+
+def reference_bfm_grid(ppo1, ppo2, convention):
+    maximum = reference_max_psm_distance(ppo1.universe_size, convention)
+    psms1 = [build_psm(t, convention) for t in reference_compatible_tpos(ppo1)]
+    psms2 = [build_psm(t, convention) for t in reference_compatible_tpos(ppo2)]
+    grid = np.empty((len(psms1), len(psms2)))
+    for i, m1 in enumerate(psms1):
+        for j, m2 in enumerate(psms2):
+            grid[i, j] = frobenius_distance(m1, m2) / maximum
+    return grid
+
+
 @st.composite
-def order_pairs(draw):
+def order_pairs(draw, max_n=MAX_N):
     """Two possibly partial orders over one universe of 2..MAX_N objects."""
-    n = draw(st.integers(2, MAX_N))
+    n = draw(st.integers(2, max_n))
     return (
         draw(weak_orders(min_n=n, max_n=n)),
         draw(weak_orders(min_n=n, max_n=n)),
@@ -155,3 +196,49 @@ def test_maxima_are_exact(n):
         report = indirect_distance(chain, chain.reverse(), metric)
         assert report.max == reference_indirect_max(n, metric)
         assert report.raw == report.max
+
+
+class TestBruteForce:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_empty_order_completes_to_every_weak_order(self, n):
+        assert compatible_tpos(WeakOrder((), n)).ctpos == tuple(enumerate_weak_orders(n))
+
+    @pytest.mark.parametrize("convention", list(PsmConvention))
+    def test_every_pair_of_up_to_three_objects(self, convention):
+        for n in (2, 3):
+            orders = all_partial_orders(n)
+            for a in orders:
+                assert compatible_tpos(a).ctpos == reference_compatible_tpos(a)
+            for a, b in itertools.product(orders, repeat=2):
+                grid = bfm_grid(a, b, convention)
+                assert np.array_equal(grid, reference_bfm_grid(a, b, convention)), (a, b)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pair=order_pairs(max_n=5), convention=st.sampled_from(list(PsmConvention)))
+    def test_random_pairs_up_to_five_objects(self, pair, convention):
+        a, b = pair
+        for order in pair:
+            assert compatible_tpos(order).ctpos == reference_compatible_tpos(order)
+        assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
+
+    @pytest.mark.parametrize(
+        "text1, text2",
+        [
+            ("F > A > C > (B = E)", "A > B > C > D > E"),
+            ("(A = B) > C > D", "D > (C = F) > E > A"),
+            ("B > F", "A > (B = C = D) > E > F"),
+        ],
+    )
+    def test_fixed_pairs_at_six_objects(self, text1, text2):
+        universe = ObjectUniverse(tuple("ABCDEF"))
+        a, b = parse_preference(text1, universe), parse_preference(text2, universe)
+        for order in (a, b):
+            assert compatible_tpos(order).ctpos == reference_compatible_tpos(order)
+        for convention in PsmConvention:
+            assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
+
+
+@pytest.mark.parametrize("convention", list(PsmConvention))
+@pytest.mark.parametrize("n", range(2, 13))
+def test_max_psm_distance_is_exact(n, convention):
+    assert max_psm_distance(n, convention) == reference_max_psm_distance(n, convention)

@@ -1,7 +1,8 @@
 """Cross-module structural properties: metric axioms, dualities, involutions.
 
-The exhaustive checks run over every weak order of three objects; the
-randomized ones use hypothesis to sample orders and mass functions.
+The exhaustive checks run over every weak order of three objects, and the
+metric axioms also over every partial order of four; the randomized ones use
+hypothesis to sample orders and mass functions.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from prefdist import (
     render_preference,
 )
 
-from strategies import weak_orders
+from strategies import all_partial_orders, weak_orders
 
 
 @st.composite
@@ -159,6 +160,64 @@ class TestMetricAxioms:
         b = orders.index(parse_preference("B > C > A", abc))
         for name, table in tables.items():
             assert table[a, b] == pytest.approx(0.5774, abs=5e-5), name
+
+
+ORDER_DISTANCES = {
+    "direct": lambda a, b: direct_distance(a, b).normalized,
+    **{
+        metric.value: lambda a, b, metric=metric: indirect_distance(a, b, metric).normalized
+        for metric in BbaMetric
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def four_object_tables():
+    """Distance tables over all 150 partial orders of four objects for the
+    belief methods, and over the 75 total ones for the classical distance."""
+    partial = all_partial_orders(4)
+    total = [o for o in partial if o.is_total]
+    tables = {
+        name: (partial, np.array([[d(a, b) for b in partial] for a in partial]))
+        for name, d in ORDER_DISTANCES.items()
+    }
+    tables["classical"] = (
+        total, np.array([[normalized_distance(a, b) for b in total] for a in total])
+    )
+    return tables
+
+
+class TestMetricAxiomsAtFourAndFive:
+    """Pseudo-metric axioms: an order mentioning one object and the empty
+    order have the same relation codes, so their distance is 0."""
+
+    def test_every_partial_order_of_four_objects(self, four_object_tables):
+        assert len(four_object_tables["direct"][0]) == 150
+        assert len(four_object_tables["classical"][0]) == 75
+        for name, (orders, table) in four_object_tables.items():
+            codes = np.array([o.relation_codes().ravel() for o in orders])
+            same = (codes[:, None] == codes[None]).all(axis=2)
+            assert np.array_equal(table, table.T), name
+            assert np.array_equal(table == 0.0, same), name
+            # d(i, k) <= d(i, j) + d(j, k) for every triple, axes (i, j, k)
+            assert np.all(table[:, None, :] <= table[:, :, None] + table[None] + 1e-12), name
+
+    @given(st.integers(4, 5), st.data())
+    def test_random_partial_triples(self, n, data):
+        a, b, c = (data.draw(weak_orders(min_n=n, max_n=n)) for _ in range(3))
+        same = np.array_equal(a.relation_codes(), b.relation_codes())
+        for name, d in ORDER_DISTANCES.items():
+            assert d(a, b) == d(b, a), name
+            assert d(a, c) <= d(a, b) + d(b, c) + 1e-12, name
+            assert (d(a, b) == 0.0) == same, name
+
+    @given(st.integers(4, 5), st.data())
+    def test_random_total_triples(self, n, data):
+        a, b, c = (data.draw(weak_orders(min_n=n, max_n=n, total=True)) for _ in range(3))
+        for name, d in {**ORDER_DISTANCES, "classical": normalized_distance}.items():
+            assert d(a, b) == d(b, a), name
+            assert d(a, c) <= d(a, b) + d(b, c) + 1e-12, name
+            assert (d(a, b) == 0.0) == (a == b), name
 
 
 class TestNormalizers:
