@@ -16,8 +16,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .enumeration import compatible_tpos
+from .errors import CapExceededError
 from .model import WeakOrder, common_size
-from .psm import PsmConvention, build_psm, max_psm_distance
+from .psm import PsmConvention, max_psm_distance, score_rows
+
+#: Most cells a grid may have: every pair of weak orders of 6 objects.
+GRID_CELL_LIMIT = 4683**2
 
 
 class Attitude(Enum):
@@ -60,13 +64,19 @@ def bfm_grid(
     """Normalized distances between every completion of ppo1 and of ppo2.
 
     Rows follow the deterministic enumeration order of ppo1's completions,
-    columns that of ppo2's.
+    columns that of ppo2's.  Raises CapExceededError, before allocating the
+    grid, when it would have more than GRID_CELL_LIMIT cells.
     """
     n = common_size(ppo1.universe_size, ppo2.universe_size)
-    a, b = (
-        np.array([build_psm(t, convention).entries.ravel() for t in side.ctpos])
-        for side in (compatible_tpos(ppo1, cap=cap), compatible_tpos(ppo2, cap=cap))
-    )
+    ranks1 = compatible_tpos(ppo1, cap=cap).ranks
+    ranks2 = compatible_tpos(ppo2, cap=cap).ranks
+    rows, cols = len(ranks1), len(ranks2)
+    if rows * cols > GRID_CELL_LIMIT:
+        raise CapExceededError(
+            f"a {rows} x {cols} completion grid exceeds the limit "
+            f"of {GRID_CELL_LIMIT} cells"
+        )
+    a, b = score_rows(ranks1, convention), score_rows(ranks2, convention)
     # ||a||^2 + ||b||^2 - 2 a.b in place: entries are multiples of 1/2 and no sum
     # exceeds 4n^2, so every term is exact and so is each squared distance.
     grid = (-2.0 * a) @ b.T

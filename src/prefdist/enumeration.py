@@ -7,8 +7,13 @@ exceeding it raises instead of truncating silently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from .errors import CapExceededError
 from .model import WeakOrder
@@ -71,7 +76,7 @@ def _check_size(n: int, cap: int | None) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
 
 
-def _order_from_ranks(ranks: tuple[int, ...]) -> WeakOrder:
+def _order_from_ranks(ranks: Sequence[int]) -> WeakOrder:
     buckets: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for idx, rank in enumerate(ranks):
         buckets[rank].append(idx)
@@ -88,16 +93,24 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     return map(_order_from_ranks, _rank_vectors((-1,) * n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibleSet:
-    """A partial order together with every total order that completes it."""
+    """A partial order together with every total order that completes it.
+
+    ``ranks`` holds one completion per row, as a read-only rank vector; the
+    ``WeakOrder`` values are built from it only when ``ctpos`` is read.
+    """
 
     ppo: WeakOrder
-    ctpos: tuple[WeakOrder, ...]
+    ranks: NDArray[np.int64]
+
+    @cached_property
+    def ctpos(self) -> tuple[WeakOrder, ...]:
+        return tuple(map(_order_from_ranks, self.ranks.tolist()))
 
     @property
     def count(self) -> int:
-        return len(self.ctpos)
+        return len(self.ranks)
 
 
 def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
@@ -107,6 +120,10 @@ def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
     An order mentioning nothing is compatible with every total order; a total
     order only with itself.  Completions follow the enumeration order.
     """
-    _check_size(ppo.universe_size, cap)
-    ranks = ppo.rank_vector.tolist()
-    return CompatibleSet(ppo, tuple(map(_order_from_ranks, _rank_vectors(ranks))))
+    n = ppo.universe_size
+    _check_size(n, cap)
+    vectors = _rank_vectors(ppo.rank_vector.tolist())
+    flat = np.fromiter(itertools.chain.from_iterable(vectors), dtype=np.int64)
+    ranks = flat.reshape(-1, n)
+    ranks.flags.writeable = False
+    return CompatibleSet(ppo, ranks)

@@ -33,6 +33,23 @@ class PreferenceScoreMatrix:
     convention: PsmConvention
 
 
+def score_rows(
+    ranks: NDArray[np.int64], convention: PsmConvention = PsmConvention.SIGNED
+) -> NDArray[np.float64]:
+    """Flattened score matrices of total orders given as a (P, n) rank array.
+
+    Row p is the score matrix of the order with rank vector ``ranks[p]``,
+    raveled to length n*n.
+    """
+    rows, n = ranks.shape
+    signed = np.sign(ranks[:, None, :] - ranks[:, :, None])  # +1 where row outranks column
+    if convention is PsmConvention.SIGNED:
+        entries = signed.astype(np.float64)
+    else:
+        entries = (signed + 1.0) / 2.0
+    return entries.reshape(rows, n * n)
+
+
 def build_psm(
     tpo: WeakOrder, convention: PsmConvention = PsmConvention.SIGNED
 ) -> PreferenceScoreMatrix:
@@ -43,12 +60,8 @@ def build_psm(
     """
     if not tpo.is_total:
         raise NotTotalError("ordering does not mention every object in the universe")
-    r = tpo.rank_vector.astype(np.float64)
-    signed = np.sign(r[None, :] - r[:, None])  # +1 where row outranks column
-    if convention is PsmConvention.SIGNED:
-        entries = signed
-    else:
-        entries = (signed + 1.0) / 2.0
+    n = tpo.universe_size
+    entries = score_rows(tpo.rank_vector[None, :], convention).reshape(n, n)
     return PreferenceScoreMatrix(entries, convention)
 
 

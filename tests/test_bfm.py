@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import prefdist.bfm
 from prefdist import (
     Attitude,
+    CapExceededError,
     DegenerateUniverseError,
     DimensionMismatchError,
     PsmConvention,
+    WeakOrder,
     bfm_distance,
     bfm_grid,
     chain_order,
@@ -88,6 +91,18 @@ class TestGrid:
         single = next(enumerate_weak_orders(1))
         with pytest.raises(DegenerateUniverseError):
             bfm_grid(single, single)
+
+    def test_grid_over_the_cell_limit_is_refused(self, monkeypatch, worked_pair):
+        monkeypatch.setattr(prefdist.bfm, "GRID_CELL_LIMIT", 24)
+        with pytest.raises(CapExceededError, match="5 x 5 .* 24 cells"):
+            bfm_grid(*worked_pair)
+        monkeypatch.setattr(prefdist.bfm, "GRID_CELL_LIMIT", 25)
+        assert bfm_grid(*worked_pair).shape == (5, 5)
+
+    def test_cell_limit_admits_every_grid_of_six_objects(self):
+        largest = compatible_tpos(WeakOrder((), 6)).count
+        assert largest == 4683
+        assert prefdist.bfm.GRID_CELL_LIMIT >= largest**2
 
 
 class TestReport:

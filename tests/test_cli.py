@@ -172,6 +172,17 @@ class TestDist:
         assert code == 3
         assert "cap" in err
 
+    def test_grid_over_the_cell_limit_exits_3(self, capsys):
+        # every weak order of 7 objects completes each side: 47293 x 47293 cells
+        code, out, err = run(
+            capsys,
+            "dist", "--method", "bfm", "--objects", "A,B,C,D,E,F,G",
+            "--pref1", "A", "--pref2", "B",
+        )
+        assert code == 3
+        assert out == ""
+        assert "47293 x 47293" in err
+
 
 class TestDistGeneral:
     PREF1_DOC = {

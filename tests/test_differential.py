@@ -4,11 +4,18 @@ The reference functions below are the original implementations: one relation
 per object pair read from a rank dictionary, one mass function per grid cell,
 one metric call per cell, and maxima measured between the strict chain and
 its reversal; for the brute-force method, completions found by filtering
-every weak order and one Frobenius distance per completion pair.  They are
-slow and stay here only as oracles.
+every weak order, one score matrix built per order and one Frobenius
+distance per completion pair; for the command line, one ``json.dumps`` of
+the whole reply and one ``repr`` per table cell.  They are slow and stay
+here only as oracles.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +29,7 @@ from prefdist import (
     MassFunction,
     ObjectUniverse,
     PairRelation,
+    PreferenceScoreMatrix,
     PsmConvention,
     WeakOrder,
     bba_from_relation,
@@ -40,7 +48,9 @@ from prefdist import (
     jousselme_distance,
     max_psm_distance,
     parse_preference,
+    render_preference,
 )
+from prefdist import cli
 
 from strategies import all_partial_orders, weak_orders
 
@@ -115,22 +125,76 @@ def reference_compatible_tpos(ppo):
     )
 
 
+def reference_build_psm(tpo, convention):
+    r = tpo.rank_vector.astype(np.float64)
+    signed = np.sign(r[None, :] - r[:, None])
+    entries = signed if convention is PsmConvention.SIGNED else (signed + 1.0) / 2.0
+    return PreferenceScoreMatrix(entries, convention)
+
+
 def reference_max_psm_distance(n, convention):
     chain = chain_order(n)
     return frobenius_distance(
-        build_psm(chain, convention), build_psm(chain.reverse(), convention)
+        reference_build_psm(chain, convention), reference_build_psm(chain.reverse(), convention)
     )
 
 
 def reference_bfm_grid(ppo1, ppo2, convention):
     maximum = reference_max_psm_distance(ppo1.universe_size, convention)
-    psms1 = [build_psm(t, convention) for t in reference_compatible_tpos(ppo1)]
-    psms2 = [build_psm(t, convention) for t in reference_compatible_tpos(ppo2)]
+    psms1 = [reference_build_psm(t, convention) for t in reference_compatible_tpos(ppo1)]
+    psms2 = [reference_build_psm(t, convention) for t in reference_compatible_tpos(ppo2)]
     grid = np.empty((len(psms1), len(psms2)))
     for i, m1 in enumerate(psms1):
         for j, m2 in enumerate(psms2):
             grid[i, j] = frobenius_distance(m1, m2) / maximum
     return grid
+
+
+def reference_emit(payload, fmt):
+    if "grid" in payload:
+        payload = {**payload, "grid": payload["grid"].tolist()}
+    if fmt == "json":
+        print(json.dumps(payload))
+        return
+    for key, value in payload.items():
+        if key == "grid":
+            print("grid:")
+            for row in value:
+                print("  " + "  ".join(repr(v) for v in row))
+        elif isinstance(value, float):
+            print(f"{key}: {value!r}")
+        elif isinstance(value, list):
+            print(f"{key}: " + ", ".join(str(v) for v in value))
+        else:
+            print(f"{key}: {value}")
+
+
+def cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def assert_bfm_stdout_matches_reference(a, b, convention, fmt):
+    universe = ObjectUniverse(tuple("ABCDEFG"[: a.universe_size]))
+    argv = [
+        "dist", "--method", "bfm", "--objects", ",".join(universe.labels),
+        "--pref1", render_preference(a, universe), "--pref2", render_preference(b, universe),
+        "--conv", convention.value, "--format", fmt,
+    ]
+    with mock.patch.object(cli, "_emit", reference_emit):
+        expected = cli_stdout(argv)
+    actual = cli_stdout(argv)
+    same = actual == expected  # a bare assert would diff megabytes of text
+    assert same, (argv, len(os.path.commonprefix([actual, expected])))
+
+
+def assert_completions_match_reference(order):
+    result = compatible_tpos(order)
+    expected = reference_compatible_tpos(order)
+    assert result.ctpos == expected
+    assert result.ranks.tolist() == [t.rank_vector.tolist() for t in expected]
 
 
 @st.composite
@@ -208,7 +272,7 @@ class TestBruteForce:
         for n in (2, 3):
             orders = all_partial_orders(n)
             for a in orders:
-                assert compatible_tpos(a).ctpos == reference_compatible_tpos(a)
+                assert_completions_match_reference(a)
             for a, b in itertools.product(orders, repeat=2):
                 grid = bfm_grid(a, b, convention)
                 assert np.array_equal(grid, reference_bfm_grid(a, b, convention)), (a, b)
@@ -218,7 +282,7 @@ class TestBruteForce:
     def test_random_pairs_up_to_five_objects(self, pair, convention):
         a, b = pair
         for order in pair:
-            assert compatible_tpos(order).ctpos == reference_compatible_tpos(order)
+            assert_completions_match_reference(order)
         assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
 
     @pytest.mark.parametrize(
@@ -233,7 +297,7 @@ class TestBruteForce:
         universe = ObjectUniverse(tuple("ABCDEF"))
         a, b = parse_preference(text1, universe), parse_preference(text2, universe)
         for order in (a, b):
-            assert compatible_tpos(order).ctpos == reference_compatible_tpos(order)
+            assert_completions_match_reference(order)
         for convention in PsmConvention:
             assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
 
@@ -242,3 +306,31 @@ class TestBruteForce:
 @pytest.mark.parametrize("n", range(2, 13))
 def test_max_psm_distance_is_exact(n, convention):
     assert max_psm_distance(n, convention) == reference_max_psm_distance(n, convention)
+
+
+@pytest.mark.parametrize("convention", list(PsmConvention))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_build_psm_is_bitwise_the_per_order_construction(n, convention):
+    for order in enumerate_weak_orders(n):
+        entries = build_psm(order, convention).entries
+        expected = reference_build_psm(order, convention).entries
+        assert entries.dtype == expected.dtype and entries.shape == expected.shape
+        assert entries.tobytes() == expected.tobytes(), order
+
+
+class TestCliOutput:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("convention", list(PsmConvention))
+    def test_every_pair_of_three_objects(self, convention, fmt):
+        orders = all_partial_orders(3)[1:]  # the empty order has no text form
+        for a, b in itertools.product(orders, repeat=2):
+            assert_bfm_stdout_matches_reference(a, b, convention, fmt)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        pair=order_pairs(max_n=5).filter(lambda pair: all(o.classes for o in pair)),
+        convention=st.sampled_from(list(PsmConvention)),
+        fmt=st.sampled_from(["json", "table"]),
+    )
+    def test_random_pairs_up_to_five_objects(self, pair, convention, fmt):
+        assert_bfm_stdout_matches_reference(*pair, convention, fmt)
