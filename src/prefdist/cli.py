@@ -99,9 +99,6 @@ def _grid_rows(
 def _emit(payload: dict[str, Any], fmt: str) -> None:
     """Print ``payload`` as one JSON object or as a table, writing a grid row by row."""
     if fmt == "json":
-        if "grid" not in payload:
-            print(json.dumps(payload))  # key by key would add ~10 us to each op
-            return
         write = sys.stdout.write
         write("{")
         for k, (key, value) in enumerate(payload.items()):

@@ -8,7 +8,7 @@ exceeding it raises instead of truncating silently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -93,16 +93,17 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     return map(_order_from_ranks, _rank_vectors((-1,) * n))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompatibleSet:
     """A partial order together with every total order that completes it.
 
     ``ranks`` holds one completion per row, as a read-only rank vector; the
-    ``WeakOrder`` values are built from it only when ``ctpos`` is read.
+    ``WeakOrder`` values are built from it only when ``ctpos`` is read.  The
+    completions are a function of ``ppo``, so sets compare and hash by it.
     """
 
     ppo: WeakOrder
-    ranks: NDArray[np.int64]
+    ranks: NDArray[np.int64] = field(compare=False)
 
     @cached_property
     def ctpos(self) -> tuple[WeakOrder, ...]:

@@ -34,7 +34,7 @@ class PreferenceScoreMatrix:
 
 
 def score_rows(
-    ranks: NDArray[np.int64], convention: PsmConvention = PsmConvention.SIGNED
+    ranks: NDArray[np.int64], convention: PsmConvention
 ) -> NDArray[np.float64]:
     """Flattened score matrices of total orders given as a (P, n) rank array.
 

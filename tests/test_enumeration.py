@@ -138,3 +138,8 @@ class TestCompatibleTpos:
     def test_cap_applies(self, pref):
         with pytest.raises(CapExceededError):
             compatible_tpos(pref("C > A"), cap=2)
+
+    def test_sets_compare_and_hash_by_partial_order(self, pref):
+        first, second = compatible_tpos(pref("C > A")), compatible_tpos(pref("C > A"))
+        assert first == second and hash(first) == hash(second)
+        assert first != compatible_tpos(pref("A > B"))
