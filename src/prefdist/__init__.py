@@ -11,8 +11,10 @@ Two independent routes to the same question — how far apart are two
   (:func:`direct_distance`) or through per-pair metric scores
   (:func:`indirect_distance`).
 
-Both routes agree with the classical normalized score-matrix distance
-whenever the inputs are total.
+On total orders the brute-force route is the classical normalized
+score-matrix distance; the belief routes agree with it only when the orders
+are also tie-free (``A > B > C`` against ``(A = B) > C`` reads 0.2887
+classically, 0.5774 by ``direct`` and 0.4082 by ``indirect-j``).
 """
 
 from .belief import (

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import IO, Any
 
 import numpy as np
@@ -71,6 +72,33 @@ class BeliefInterval:
         return self.pl - self.bel
 
 
+def _check_masses(masses: NDArray[np.float64], where: str = "") -> None:
+    """The mass rule, over mass vectors of shape (..., 8).
+
+    The empty set carries no mass, components are non-negative, and the total
+    is 1 within 1e-9.  The first invalid vector in row-major order raises
+    UnnormalizedMassError, its reason prefixed by ``where.format(*index)``.
+    """
+    if masses.shape[-1] != 8:
+        raise UnnormalizedMassError(f"mass vector needs 8 components, got {masses.shape[-1]}")
+    total = np.zeros(masses.shape[:-1])
+    for k in range(8):  # left to right, bitwise what sum() does before Python 3.12
+        total += masses[..., k]
+    nonzero_empty = masses[..., 0] != 0.0
+    negative = ~np.all(masses >= 0.0, axis=-1)  # a NaN fails this and the sum test
+    invalid = nonzero_empty | negative | ~(np.abs(total - 1.0) <= _MASS_TOLERANCE)
+    if not invalid.any():
+        return
+    index = np.unravel_index(np.argmax(invalid), invalid.shape)
+    if nonzero_empty[index]:
+        reason = f"empty set must carry zero mass, got {float(masses[index][0])}"
+    elif negative[index]:
+        reason = "masses must be non-negative"
+    else:
+        reason = f"masses sum to {float(total[index])!r}, expected 1"
+    raise UnnormalizedMassError(where.format(*index) + reason)
+
+
 @dataclass(frozen=True)
 class MassFunction:
     """Normalized basic belief assignment over the 3-state pairwise frame.
@@ -86,15 +114,10 @@ class MassFunction:
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.masses)
         object.__setattr__(self, "masses", values)
-        if len(values) != 8:
-            raise UnnormalizedMassError(f"mass vector needs 8 components, got {len(values)}")
-        if values[0] != 0.0:
-            raise UnnormalizedMassError(f"empty set must carry zero mass, got {values[0]}")
-        if not all(v >= 0.0 for v in values):  # a NaN fails this and the sum test
-            raise UnnormalizedMassError("masses must be non-negative")
-        total = sum(values)
-        if not abs(total - 1.0) <= _MASS_TOLERANCE:
-            raise UnnormalizedMassError(f"masses sum to {total!r}, expected 1")
+        _check_masses(np.array([values]))  # a grid of one vector
+
+    def __array__(self, dtype: Any = None, copy: bool | None = None) -> NDArray[np.float64]:
+        return np.array(self.masses, dtype=dtype)
 
     @classmethod
     def certain(cls, subset: int) -> "MassFunction":
@@ -150,37 +173,51 @@ def bba_from_relation(relation: PairRelation) -> MassFunction:
 
 #: The mass function of each relation code (see WeakOrder.relation_codes).
 _CODE_MASS = tuple(bba_from_relation(relation) for relation in PairRelation)
+_CODE_MASSES = np.array(_CODE_MASS)
 _SUCC, _PREC = (list(PairRelation).index(r) for r in (PairRelation.SUCC, PairRelation.PREC))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BbaMatrix:
-    """N x N grid of mass functions; cell (i, j) judges object i against object j."""
+    """N x N grid of mass functions; cell (i, j) judges object i against object j.
 
-    cells: tuple[tuple[MassFunction, ...], ...]
+    ``masses`` holds the (n, n, 8) mass vectors, read-only, copied from any
+    array-like (nested MassFunctions too) and checked by the mass rule.
+    ``cells`` is built from it when read.  Grids compare and hash by value.
+    """
+
+    masses: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        n = len(self.cells)
-        if any(len(row) != n for row in self.cells):
-            raise DimensionMismatchError("cell grid must be square")
+        try:
+            masses = np.array(self.masses, dtype=np.float64)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"mass grid must be (n, n, 8): {exc}") from None
+        if masses.ndim != 3 or masses.shape[1:] != (len(masses), 8):
+            raise DimensionMismatchError(f"mass grid must be (n, n, 8), got {masses.shape}")
+        _check_masses(masses, "cell ({}, {}): ")
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BbaMatrix) and bool(np.array_equal(self.masses, other.masses))
+
+    def __hash__(self) -> int:
+        return hash((self.masses + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0, as == does
 
     @property
     def n(self) -> int:
-        return len(self.cells)
+        return len(self.masses)
 
-    def as_array(self) -> NDArray[np.float64]:
-        """Mass components as an (n, n, 8) array."""
-        return np.array(
-            [[cell.masses for cell in row] for row in self.cells], dtype=np.float64
-        )
+    @cached_property
+    def cells(self) -> tuple[tuple[MassFunction, ...], ...]:
+        return tuple(tuple(map(MassFunction, row)) for row in self.masses.tolist())
 
 
 def build_bba_matrix(ppo: WeakOrder) -> BbaMatrix:
     """Encode a (partial) order: certain cells for known comparisons, vacuous
     cells for unmentioned pairs, tie-certain diagonal."""
-    return BbaMatrix(
-        tuple(tuple(_CODE_MASS[code] for code in row) for row in ppo.relation_codes().tolist())
-    )
+    return BbaMatrix(_CODE_MASSES[ppo.relation_codes()])
 
 
 def _jaccard_kernel() -> NDArray[np.float64]:
@@ -298,7 +335,7 @@ def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
     n = common_size(b1.n, b2.n)
     # Equals the Frobenius norm of the flattened 8N x 8N difference: each mass
     # component appears exactly once in the sum of squares either way.
-    raw = float(np.linalg.norm(b1.as_array() - b2.as_array()))
+    raw = float(np.linalg.norm(b1.masses - b2.masses))
     maximum = _direct_max(n)
     return DistanceReport("direct", raw, maximum, raw / maximum)
 
@@ -341,10 +378,9 @@ _FOCAL_KEY_TO_MASK = {
 }
 
 
-def _cell_from_json(cell: Any) -> MassFunction:
+def _fill_cell(target: NDArray[np.float64], cell: Any) -> None:
     if not isinstance(cell, dict):
         raise BbaFormatError("cell must be an object mapping focal-set keys to masses")
-    values = [0.0] * 8
     for key, mass in cell.items():
         mask = _FOCAL_KEY_TO_MASK.get(key)
         if mask is None:
@@ -354,8 +390,7 @@ def _cell_from_json(cell: Any) -> MassFunction:
             )
         if isinstance(mass, bool) or not isinstance(mass, (int, float)):
             raise BbaFormatError(f"mass for {key!r} must be a number, got {mass!r}")
-        values[mask] = float(mass)
-    return MassFunction(tuple(values))
+        target[mask] = float(mass)
 
 
 def bba_matrix_from_json(document: Any) -> BbaMatrix:
@@ -363,8 +398,8 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
 
     Focal-set keys are "1", "2", "3", "1|2", "1|3", "2|3" and "1|2|3" (atom 1
     = row preferred, 2 = tied, 3 = column preferred); omitted subsets carry
-    zero mass and empty-set keys are rejected.  Diagnostics name the
-    offending cell.
+    zero mass and empty-set keys are rejected.  Diagnostics name the first
+    offending cell in row-major order.
     """
     if not isinstance(document, dict):
         raise BbaFormatError("top-level value must be a JSON object")
@@ -374,18 +409,20 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
         raise BbaFormatError("'n' must be a positive integer")
     if not isinstance(cells, list) or len(cells) != n:
         raise BbaFormatError(f"'cells' must be a list of {n} rows")
-    rows = []
+    masses = np.zeros((n, n, 8))
     for i, row in enumerate(cells):
         if not isinstance(row, list) or len(row) != n:
+            _check_masses(masses[:i], "cell ({}, {}): ")
             raise BbaFormatError(f"row {i} must hold {n} cells")
-        parsed_row = []
         for j, cell in enumerate(row):
             try:
-                parsed_row.append(_cell_from_json(cell))
-            except (BbaFormatError, UnnormalizedMassError) as exc:
-                raise type(exc)(f"cell ({i}, {j}): {exc}") from None
-        rows.append(tuple(parsed_row))
-    return BbaMatrix(tuple(rows))
+                _fill_cell(masses[i, j], cell)
+            except BbaFormatError as exc:
+                # a cell filled earlier may break the mass rule: name it first
+                _check_masses(masses[:i], "cell ({}, {}): ")
+                _check_masses(masses[i, :j], f"cell ({i}, {{}}): ")
+                raise BbaFormatError(f"cell ({i}, {j}): {exc}") from None
+    return BbaMatrix(masses)
 
 
 def load_bba_matrix(source: str | IO[str]) -> BbaMatrix:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from prefdist import (
     indirect_distance,
     indirect_psm,
     jousselme_distance,
+    load_bba_matrix,
 )
 
 TOL = 5e-5
@@ -321,6 +323,77 @@ class TestDirectDistanceGeneral:
     def test_non_square_grid_rejected(self):
         with pytest.raises(DimensionMismatchError):
             BbaMatrix(((EQUIV_SURE, VACUOUS),))
+
+
+class TestBbaMatrixValue:
+    DOCUMENT = {
+        "n": 2,
+        "cells": [[{"2": 1.0}, {"1": 0.2, "2": 0.3, "3": 0.5}], [{"1|2|3": 1}, {"2": 1.0}]],
+    }
+
+    def _load(self, tmp_path, document=DOCUMENT):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        return load_bba_matrix(str(path))
+
+    def test_two_loads_of_one_file_are_equal(self, tmp_path):
+        first, second = self._load(tmp_path), self._load(tmp_path)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_negative_zero_mass_equals_zero(self):
+        masses = build_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
+        signed = masses.copy()
+        signed[0, 1, 2] = -0.0
+        assert np.signbit(signed[0, 1, 2]) and not np.signbit(masses[0, 1, 2])
+        assert BbaMatrix(signed) == BbaMatrix(masses)
+        assert hash(BbaMatrix(signed)) == hash(BbaMatrix(masses))
+
+    def test_different_grids_differ(self, tmp_path):
+        loaded = self._load(tmp_path)
+        assert loaded != build_bba_matrix(WeakOrder(((0,), (1,)), 2))
+        assert loaded != BbaMatrix(((EQUIV_SURE,),))
+        assert loaded != "masses"
+
+    def test_masses_are_read_only_copies(self):
+        source = build_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
+        matrix = BbaMatrix(source)
+        source[0, 1] = VACUOUS.masses
+        assert matrix.masses[0, 1].tolist() == list(SUCC_SURE.masses)
+        with pytest.raises(ValueError):
+            matrix.masses[0, 0, 2] = 0.5
+
+    @pytest.mark.parametrize("shape", [(2, 2, 7), (2, 3, 8), (2, 2), (4, 8), (1, 2, 2, 8)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            BbaMatrix(np.zeros(shape))
+
+    def test_ragged_grid_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            BbaMatrix(((EQUIV_SURE, VACUOUS), (VACUOUS,)))
+
+    def test_invalid_cell_named(self):
+        masses = np.zeros((2, 2, 8))
+        masses[..., FULL_FRAME] = 1.0
+        masses[1, 0, ATOM_SUCC] = 0.5
+        masses[1, 1, 0] = 0.5
+        message = r"^cell \(1, 0\): masses sum to 1\.5, expected 1$"
+        with pytest.raises(UnnormalizedMassError, match=message):
+            BbaMatrix(masses)
+
+    def test_cells_are_built_from_masses(self, tmp_path):
+        matrix = self._load(tmp_path)
+        masses = matrix.masses
+        for i, j in itertools.product(range(matrix.n), repeat=2):
+            assert matrix.cells[i][j] == MassFunction(tuple(masses[i, j]))
+        assert matrix.cells[0][1] == BAYESIAN
+        assert matrix.cells is matrix.cells
+
+    def test_nested_mass_functions_construct_the_grid(self):
+        matrix = BbaMatrix(((EQUIV_SURE, BAYESIAN), (BAYESIAN.swapped(), EQUIV_SURE)))
+        assert matrix.masses.shape == (2, 2, 8) and matrix.masses.dtype == np.float64
+        assert matrix.masses[0, 1].tolist() == list(BAYESIAN.masses)
 
 
 class TestIndirectMethod:

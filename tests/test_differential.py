@@ -3,9 +3,10 @@
 The reference functions below are the original implementations: one relation
 per object pair read from a rank dictionary, one mass function per grid cell,
 one metric call per cell, and maxima measured between the strict chain and
-its reversal; for the brute-force method, completions found by filtering
-every weak order, one score matrix built per order and one Frobenius
-distance per completion pair; for the command line, one ``json.dumps`` of
+its reversal; for mass-grid files, one mass vector parsed and checked per
+cell into a tuple grid; for the brute-force method, completions found by
+filtering every weak order, one score matrix built per order and one
+Frobenius distance per completion pair; for the command line, one ``json.dumps`` of
 the whole reply and one ``repr`` per table cell.  They are slow and stay
 here only as oracles.
 """
@@ -14,6 +15,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 from unittest import mock
 
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from prefdist import (
     ATOM_SUCC,
+    BbaFormatError,
     BbaMatrix,
     BbaMetric,
     MassFunction,
@@ -31,6 +34,7 @@ from prefdist import (
     PairRelation,
     PreferenceScoreMatrix,
     PsmConvention,
+    UnnormalizedMassError,
     WeakOrder,
     bba_from_relation,
     belief_interval_distance,
@@ -46,6 +50,7 @@ from prefdist import (
     indirect_distance,
     indirect_psm,
     jousselme_distance,
+    load_bba_matrix,
     max_psm_distance,
     parse_preference,
     render_preference,
@@ -84,8 +89,73 @@ def reference_bba_matrix(order):
     )
 
 
+def reference_grid_array(rows):
+    """An (n, n, 8) array from a grid of mass vectors, as the old ``as_array``."""
+    return np.array(rows, dtype=np.float64)
+
+
 def reference_grid_distance(b1, b2):
-    return float(np.linalg.norm(b1.as_array() - b2.as_array()))
+    a1, a2 = (reference_grid_array([[c.masses for c in row] for row in b.cells]) for b in (b1, b2))
+    return float(np.linalg.norm(a1 - a2))
+
+
+FOCAL_KEYS = {"1": 1, "2": 2, "3": 4, "1|2": 3, "1|3": 5, "2|3": 6, "1|2|3": 7}
+
+
+def reference_mass_vector(values):
+    values = tuple(float(v) for v in values)
+    if len(values) != 8:
+        raise UnnormalizedMassError(f"mass vector needs 8 components, got {len(values)}")
+    if values[0] != 0.0:
+        raise UnnormalizedMassError(f"empty set must carry zero mass, got {values[0]}")
+    if not all(v >= 0.0 for v in values):
+        raise UnnormalizedMassError("masses must be non-negative")
+    total = 0.0
+    for v in values:  # sum(values) before Python 3.12, which compensates
+        total += v
+    if not abs(total - 1.0) <= 1e-9:
+        raise UnnormalizedMassError(f"masses sum to {total!r}, expected 1")
+    return values
+
+
+def reference_cell_from_json(cell):
+    if not isinstance(cell, dict):
+        raise BbaFormatError("cell must be an object mapping focal-set keys to masses")
+    values = [0.0] * 8
+    for key, mass in cell.items():
+        mask = FOCAL_KEYS.get(key)
+        if mask is None:
+            raise BbaFormatError(
+                f"invalid focal-set key {key!r} (expected one of {', '.join(sorted(FOCAL_KEYS))})"
+            )
+        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+            raise BbaFormatError(f"mass for {key!r} must be a number, got {mass!r}")
+        values[mask] = float(mass)
+    return reference_mass_vector(values)
+
+
+def reference_load(document):
+    """The tuple grid of checked mass vectors, or the first fault in row-major order."""
+    if not isinstance(document, dict):
+        raise BbaFormatError("top-level value must be a JSON object")
+    n = document.get("n")
+    cells = document.get("cells")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise BbaFormatError("'n' must be a positive integer")
+    if not isinstance(cells, list) or len(cells) != n:
+        raise BbaFormatError(f"'cells' must be a list of {n} rows")
+    rows = []
+    for i, row in enumerate(cells):
+        if not isinstance(row, list) or len(row) != n:
+            raise BbaFormatError(f"row {i} must hold {n} cells")
+        parsed_row = []
+        for j, cell in enumerate(row):
+            try:
+                parsed_row.append(reference_cell_from_json(cell))
+            except (BbaFormatError, UnnormalizedMassError) as exc:
+                raise type(exc)(f"cell ({i}, {j}): {exc}") from None
+        rows.append(tuple(parsed_row))
+    return tuple(rows)
 
 
 def reference_direct_max(n):
@@ -205,6 +275,147 @@ def order_pairs(draw, max_n=MAX_N):
         draw(weak_orders(min_n=n, max_n=n)),
         draw(weak_orders(min_n=n, max_n=n)),
     )
+
+
+@st.composite
+def valid_cells(draw):
+    """A normalized cell: certain, or weights over a few focal sets, with
+    zero and negative-zero masses mixed in."""
+    keys = draw(st.lists(st.sampled_from(sorted(FOCAL_KEYS)), min_size=1, max_size=7, unique=True))
+    if len(keys) == 1:
+        return {keys[0]: draw(st.sampled_from([1, 1.0]))}
+    weights = draw(st.lists(st.integers(0, 50), min_size=len(keys), max_size=len(keys)))
+    weights[0] += 1
+    total = sum(weights)
+    return {
+        key: w / total if w else draw(st.sampled_from([0, 0.0, -0.0]))
+        for key, w in zip(keys, weights)
+    }
+
+
+def _break_cell(draw, cell, fault):
+    key = draw(st.sampled_from(sorted(FOCAL_KEYS)))
+    if fault == "unknown_key":
+        cell[draw(st.sampled_from(["4", "1|1", "3|2", "", "1 | 2"]))] = 1.0
+    elif fault == "zero_key":
+        cell["0"] = draw(st.sampled_from([0.0, 1.0]))
+    elif fault == "bool_mass":
+        cell[key] = draw(st.booleans())
+    elif fault == "string_mass":
+        cell[key] = draw(st.sampled_from(["0.5", "1"]))
+    elif fault == "negative":
+        cell[key] = draw(st.sampled_from([-0.25, -1e-12, -1.0]))
+    elif fault == "nan":
+        cell[key] = math.nan
+    elif fault == "infinity":
+        cell[key] = draw(st.sampled_from([math.inf, -math.inf]))
+    else:  # sum_off: around the 1e-9 tolerance, both ways
+        delta = draw(st.sampled_from([1, -1])) * draw(st.sampled_from([5e-10, 1e-9, 1.5e-9, 1e-3]))
+        numbers = [k for k, mass in cell.items() if type(mass) in (int, float)]
+        if numbers:
+            cell[numbers[0]] += delta
+
+
+FAULTS = [
+    "n_value", "cells_type", "row_type", "short_row", "cell_type", "unknown_key",
+    "zero_key", "bool_mass", "string_mass", "negative", "nan", "infinity", "sum_off",
+]
+
+
+def _apply_fault(draw, document, cells, fault):
+    """Break ``document`` in place; a fault whose target is already broken is skipped."""
+    n = len(cells)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    row = cells[i]
+    if fault == "n_value":
+        document["n"] = draw(st.sampled_from([0, True, "2", n + 1]))
+    elif fault == "cells_type":
+        document["cells"] = draw(st.sampled_from([None, {}, cells[:-1]]))
+    elif fault == "row_type":
+        cells[i] = draw(st.sampled_from([None, "row", {"0": row}]))
+    elif not isinstance(row, list) or j >= len(row):
+        pass
+    elif fault == "short_row":
+        del row[j:]
+    elif fault == "cell_type":
+        row[j] = draw(st.sampled_from([None, 1.0, "cell", [1.0]]))
+    elif isinstance(row[j], dict):
+        _break_cell(draw, row[j], fault)
+
+
+@st.composite
+def bba_documents(draw, n=None, faults=st.sampled_from(FAULTS), count=st.integers(0, 2)):
+    """A mass-grid document of 1..4 objects with ``count`` faults drawn from ``faults``."""
+    n = n or draw(st.integers(1, 4))
+    cells = [[draw(valid_cells()) for _ in range(n)] for _ in range(n)]
+    document = {"n": n, "cells": cells}
+    for _ in range(draw(count)):
+        _apply_fault(draw, document, cells, draw(faults))
+    return document
+
+
+def load_from_text(document):
+    return load_bba_matrix(io.StringIO(json.dumps(document)))
+
+
+def assert_loads_like_reference(document):
+    """The loader and the oracle give the same masses bit for bit, or raise the
+    same exception type with the same message; returns that type, or None."""
+    try:
+        masses = load_from_text(document).masses
+    except (BbaFormatError, UnnormalizedMassError) as exc:
+        with pytest.raises(type(exc)) as expected:
+            reference_load(json.loads(json.dumps(document)))
+        assert str(exc) == str(expected.value)
+        return type(exc)
+    array = reference_grid_array(reference_load(json.loads(json.dumps(document))))
+    assert masses.shape == array.shape and masses.tobytes() == array.tobytes()
+    return None
+
+
+class TestMassGridLoader:
+    @settings(max_examples=200)
+    @given(bba_documents())
+    def test_loads_like_the_per_cell_loader(self, document):
+        assert_loads_like_reference(document)
+
+    @pytest.mark.parametrize(
+        "rows, cell",
+        [
+            ([[{"2": 1.0}, {"1": 0.5}], [{"2": 1.0}, {"4": 1.0}]], "0, 1"),
+            ([[{"2": 1.0}, {"1": 0.5}], [{"2": 1.0}, None]], "0, 1"),
+            ([[{"2": 1.0}, {"1": 0.5}], [{"2": 1.0}]], "0, 1"),
+            ([[{"2": 1.0}, {"1": 1.0}], [{"3": 0.5}, {"2": True}]], "1, 0"),
+        ],
+    )
+    def test_an_earlier_unnormalized_cell_is_named_first(self, rows, cell):
+        document = {"n": 2, "cells": rows}
+        assert assert_loads_like_reference(document) is UnnormalizedMassError
+        with pytest.raises(UnnormalizedMassError, match=rf"^cell \({cell}\): masses sum to 0\.5,"):
+            load_from_text(document)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_every_fault_kind_is_rejected_alike(self, fault, data):
+        document = data.draw(bba_documents(faults=st.just(fault), count=st.just(1)))
+        rejected = assert_loads_like_reference(document)
+        if fault != "sum_off":  # an offset below 1e-9 is within tolerance
+            assert rejected is not None
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_direct_distance_general_is_exact(self, data):
+        n = data.draw(st.integers(2, 5))
+        documents = [data.draw(bba_documents(n, count=st.just(0))) for _ in range(2)]
+        b1, b2 = map(load_from_text, documents)
+        rows1, rows2 = (reference_load(json.loads(json.dumps(d))) for d in documents)
+        raw = float(np.linalg.norm(reference_grid_array(rows1) - reference_grid_array(rows2)))
+        report = direct_distance_general(b1, b2)
+        maximum = reference_direct_max(b1.n)
+        assert report.raw == raw
+        assert report.max == maximum
+        assert report.normalized == raw / maximum
 
 
 class TestEncoding:
