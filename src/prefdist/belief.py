@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, islice, repeat
 from typing import IO, Any
 
 import numpy as np
@@ -378,21 +380,6 @@ _FOCAL_KEY_TO_MASK = {
 }
 
 
-def _fill_cell(target: NDArray[np.float64], cell: Any) -> None:
-    if not isinstance(cell, dict):
-        raise BbaFormatError("cell must be an object mapping focal-set keys to masses")
-    for key, mass in cell.items():
-        mask = _FOCAL_KEY_TO_MASK.get(key)
-        if mask is None:
-            raise BbaFormatError(
-                f"invalid focal-set key {key!r} (expected one of "
-                f"{', '.join(sorted(_FOCAL_KEY_TO_MASK))})"
-            )
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-            raise BbaFormatError(f"mass for {key!r} must be a number, got {mass!r}")
-        target[mask] = float(mass)
-
-
 def bba_matrix_from_json(document: Any) -> BbaMatrix:
     """Parse the wire format ``{"n": N, "cells": [[{...}, ...], ...]}``.
 
@@ -400,6 +387,12 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
     = row preferred, 2 = tied, 3 = column preferred); omitted subsets carry
     zero mass and empty-set keys are rejected.  Diagnostics name the first
     offending cell in row-major order.
+
+    The grid is read in one pass over its flattened cells: rows, cells, keys
+    and masses are checked list-wide, and every mass lands in the array in
+    one assignment.  A fault cuts the grid short at the first offending cell;
+    the cells before it are still read, so an earlier cell that breaks the
+    mass rule is named first.
     """
     if not isinstance(document, dict):
         raise BbaFormatError("top-level value must be a JSON object")
@@ -409,27 +402,77 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
         raise BbaFormatError("'n' must be a positive integer")
     if not isinstance(cells, list) or len(cells) != n:
         raise BbaFormatError(f"'cells' must be a list of {n} rows")
+    good_rows = next(
+        (i for i, row in enumerate(cells) if not isinstance(row, list) or len(row) != n), n
+    )
+    flat = list(chain.from_iterable(cells[:good_rows]))
+    dicts = flat
+    if not all(map(isinstance, flat, repeat(dict))):
+        dicts = flat[: list(map(isinstance, flat, repeat(dict))).index(False)]
+    sizes = list(map(len, dicts))
+    keys = list(chain.from_iterable(dicts))
+    values = list(chain.from_iterable(map(dict.values, dicts)))
+
+    # the first key or mass that fails its check, in row-major key order
+    bad = len(keys)
+    if not _FOCAL_KEY_TO_MASK.keys() >= set(keys):
+        bad = list(map(_FOCAL_KEY_TO_MASK.get, keys)).index(None)
+    if not {int, float} >= set(map(type, values)):
+        wrong = ~np.fromiter(map(isinstance, values, repeat((int, float))), bool, len(values))
+        # a bool is an int to isinstance, but not a mass
+        wrong |= np.fromiter(map(isinstance, values, repeat(bool)), bool, len(values))
+        if wrong[:bad].any():
+            bad = int(np.argmax(wrong))
+    try:
+        numbers = np.array(values[:bad], dtype=np.float64)
+        too_large = False
+    except OverflowError:  # an integer beyond the float range
+        floats: list[float] = []
+        with suppress(OverflowError):
+            # extend keeps the floats made before the error: their count is its index
+            floats.extend(map(float, islice(values, bad)))
+        bad, too_large = len(floats), True
+        numbers = np.array(floats)
+
+    cell_of = np.repeat(np.arange(len(dicts)), sizes)
+    if bad < len(keys):
+        fault, key = int(cell_of[bad]), keys[bad]
+        if key not in _FOCAL_KEY_TO_MASK:
+            reason = (
+                f"invalid focal-set key {key!r} (expected one of "
+                f"{', '.join(sorted(_FOCAL_KEY_TO_MASK))})"
+            )
+        elif too_large:
+            reason = f"mass for {key!r} is too large for a float"
+        else:
+            reason = f"mass for {key!r} must be a number, got {values[bad]!r}"
+    elif len(dicts) < len(flat):
+        fault, reason = len(dicts), "cell must be an object mapping focal-set keys to masses"
+    else:
+        fault = len(flat)  # n * n, or the first cell of the first malformed row
+
+    used = sum(sizes[:fault])  # the masses of the cells before the fault
+    masks = np.fromiter(map(_FOCAL_KEY_TO_MASK.__getitem__, islice(keys, used)), np.intp, used)
     masses = np.zeros((n, n, 8))
-    for i, row in enumerate(cells):
-        if not isinstance(row, list) or len(row) != n:
-            _check_masses(masses[:i], "cell ({}, {}): ")
-            raise BbaFormatError(f"row {i} must hold {n} cells")
-        for j, cell in enumerate(row):
-            try:
-                _fill_cell(masses[i, j], cell)
-            except BbaFormatError as exc:
-                # a cell filled earlier may break the mass rule: name it first
-                _check_masses(masses[:i], "cell ({}, {}): ")
-                _check_masses(masses[i, :j], f"cell ({i}, {{}}): ")
-                raise BbaFormatError(f"cell ({i}, {j}): {exc}") from None
-    return BbaMatrix(masses)
+    masses.reshape(-1)[cell_of[:used] * 8 + masks] = numbers[:used]
+    if fault == n * n:
+        return BbaMatrix(masses)
+    i, j = divmod(fault, n)
+    _check_masses(masses[:i], "cell ({}, {}): ")
+    _check_masses(masses[i, :j], f"cell ({i}, {{}}): ")
+    if fault == len(flat):
+        raise BbaFormatError(f"row {i} must hold {n} cells")
+    raise BbaFormatError(f"cell ({i}, {j}): {reason}")
 
 
 def load_bba_matrix(source: str | IO[str]) -> BbaMatrix:
     """Read a BBA matrix from a JSON file path or an open text stream."""
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
-            document = json.load(handle)
-    else:
-        document = json.load(source)
+    try:
+        if isinstance(source, str):
+            with open(source, encoding="utf-8") as handle:
+                document = json.load(handle)
+        else:
+            document = json.load(source)
+    except RecursionError:
+        raise BbaFormatError("JSON nesting is too deep to parse") from None
     return bba_matrix_from_json(document)

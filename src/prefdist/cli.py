@@ -83,17 +83,20 @@ def _effective_cap(flag: int | None) -> int:
 
 
 def _grid_rows(
-    grid: NDArray[np.float64], text: Callable[[float], str], sep: str
+    grid: NDArray[np.float64], n: int, text: Callable[[float], str], sep: str
 ) -> Iterator[str]:
     """Each grid row's cells as ``text`` renders them, joined by ``sep``.
 
-    A grid holds few distinct values, so each is rendered once and the cells
-    pick their text by index; values are told apart by their bits.
+    Every cell is sqrt(k) / max_psm_distance(n) for an integer k in
+    [0, 4n(n - 1)], in both conventions, so k indexes a table that renders
+    each value present once.
     """
-    bits, inverse = np.unique(grid.view(np.int64), return_inverse=True)
-    texts = np.array([text(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    for row in inverse.reshape(grid.shape):
-        yield sep.join(texts[row].tolist())
+    maximum = max_psm_distance(n)
+    keys = np.rint(np.square(grid * maximum)).astype(np.intp)
+    present = np.flatnonzero(np.bincount(keys.ravel()))
+    texts = np.empty(present[-1] + 1, dtype=object)
+    texts[present] = [text(v) for v in (np.sqrt(present.astype(np.float64)) / maximum).tolist()]
+    return map(sep.join, texts[keys].tolist())
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
@@ -104,7 +107,8 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
         for k, (key, value) in enumerate(payload.items()):
             write((", " if k else "") + json.dumps(key) + ": ")
             if key == "grid":
-                for i, row in enumerate(_grid_rows(value, json.dumps, ", ")):
+                rows = _grid_rows(value, len(payload["objects"]), json.dumps, ", ")
+                for i, row in enumerate(rows):
                     write((", [" if i else "[[") + row + "]")
                 write("]")
             else:
@@ -114,7 +118,7 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
     for key, value in payload.items():
         if key == "grid":
             print("grid:")
-            for row in _grid_rows(value, repr, "  "):
+            for row in _grid_rows(value, len(payload["objects"]), repr, "  "):
                 print("  " + row)
         elif isinstance(value, float):
             print(f"{key}: {value!r}")
@@ -180,7 +184,7 @@ def _cmd_dist_general(args: argparse.Namespace) -> int:
     for field, path in (("bba1", args.bba1), ("bba2", args.bba2)):
         try:
             matrices.append(load_bba_matrix(path))
-        except (PrefdistError, OSError, json.JSONDecodeError) as exc:
+        except (PrefdistError, OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise _UsageError(field, str(exc)) from None
     report = direct_distance_general(matrices[0], matrices[1])
     payload = {

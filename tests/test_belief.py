@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ from prefdist import (
     ATOM_PREC,
     ATOM_SUCC,
     FULL_FRAME,
+    BbaFormatError,
     BbaMatrix,
     BbaMetric,
     DegenerateUniverseError,
@@ -20,6 +22,7 @@ from prefdist import (
     UnnormalizedMassError,
     WeakOrder,
     bba_from_relation,
+    bba_matrix_from_json,
     belief_interval_distance,
     build_bba_matrix,
     chain_order,
@@ -394,6 +397,35 @@ class TestBbaMatrixValue:
         matrix = BbaMatrix(((EQUIV_SURE, BAYESIAN), (BAYESIAN.swapped(), EQUIV_SURE)))
         assert matrix.masses.shape == (2, 2, 8) and matrix.masses.dtype == np.float64
         assert matrix.masses[0, 1].tolist() == list(BAYESIAN.masses)
+
+
+class TestMassGridFaults:
+    HUGE = 10**400
+
+    def test_integer_beyond_the_float_range_names_its_cell(self):
+        document = {"n": 2, "cells": [[{"2": 1}, {"1": 1}], [{"3": 1, "1": self.HUGE}, {"4": 1}]]}
+        message = r"^cell \(1, 0\): mass for '1' is too large for a float$"
+        with pytest.raises(BbaFormatError, match=message):
+            bba_matrix_from_json(document)
+
+    def test_an_earlier_fault_wins_over_a_huge_integer(self):
+        unnormalized = [[{"2": 1}, {"1": 0.5}], [{"1": self.HUGE}, {"2": 1}]]
+        with pytest.raises(UnnormalizedMassError, match=r"^cell \(0, 1\): masses sum to 0\.5"):
+            bba_matrix_from_json({"n": 2, "cells": unnormalized})
+        bad_key = [[{"0": 1, "1": self.HUGE}]]
+        with pytest.raises(BbaFormatError, match=r"^cell \(0, 0\): invalid focal-set key '0'"):
+            bba_matrix_from_json({"n": 1, "cells": bad_key})
+
+    def test_number_subclasses_load_as_their_float_values(self):
+        cells = [[{"2": np.float64(1.0)}, {"1": np.float64(0.25), "3": 0.75}], [{"3": 1}, {"2": 1}]]
+        loaded = bba_matrix_from_json({"n": 2, "cells": cells})
+        assert loaded.masses[0, 1].tolist() == [0.0, 0.25, 0.0, 0.0, 0.75, 0.0, 0.0, 0.0]
+        with pytest.raises(BbaFormatError, match=r"^cell \(0, 0\): mass for '2' must be"):
+            bba_matrix_from_json({"n": 1, "cells": [[{"2": np.int64(1)}]]})
+
+    def test_too_deep_nesting_is_a_format_error(self):
+        with pytest.raises(BbaFormatError, match="nesting"):
+            load_bba_matrix(io.StringIO("[" * 100_000))
 
 
 class TestIndirectMethod:

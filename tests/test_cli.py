@@ -272,6 +272,32 @@ class TestDistGeneral:
         assert code == 2
         assert "bba2" in err
 
+    def _rejected(self, capsys, tmp_path, content, field):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        good = self._write(tmp_path, "good.json", self.PREF1_DOC)
+        paths = (str(bad), good) if field == "bba1" else (good, str(bad))
+        code, out, err = run(capsys, "dist-general", *paths)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        return err
+
+    @pytest.mark.parametrize("field", ["bba1", "bba2"])
+    def test_integer_mass_beyond_the_float_range_exits_2(self, capsys, tmp_path, field):
+        huge = b'{"n": 1, "cells": [[{"2": 1, "1": 1' + b"0" * 400 + b"}]]}"
+        err = self._rejected(capsys, tmp_path, huge, field)
+        assert err.startswith(f"error: {field}: cell (0, 0): mass for '1' ")
+
+    @pytest.mark.parametrize("field", ["bba1", "bba2"])
+    def test_too_deep_nesting_exits_2(self, capsys, tmp_path, field):
+        self._rejected(capsys, tmp_path, b"[" * 100_000, field)
+
+    @pytest.mark.parametrize("field", ["bba1", "bba2"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, field):
+        err = self._rejected(capsys, tmp_path, b'{"n": 1, "cells": [[{"\xff": 1}]]}', field)
+        assert "utf-8" in err
+
 
 class TestEnumerateCommand:
     def test_three_objects(self, capsys):

@@ -280,15 +280,17 @@ def order_pairs(draw, max_n=MAX_N):
 @st.composite
 def valid_cells(draw):
     """A normalized cell: certain, or weights over a few focal sets, with
-    zero and negative-zero masses mixed in."""
+    zero and negative-zero masses mixed in and a whole weight written as the
+    integer 1."""
     keys = draw(st.lists(st.sampled_from(sorted(FOCAL_KEYS)), min_size=1, max_size=7, unique=True))
     if len(keys) == 1:
         return {keys[0]: draw(st.sampled_from([1, 1.0]))}
     weights = draw(st.lists(st.integers(0, 50), min_size=len(keys), max_size=len(keys)))
     weights[0] += 1
     total = sum(weights)
+    zero = st.sampled_from([0, 0.0, -0.0])
     return {
-        key: w / total if w else draw(st.sampled_from([0, 0.0, -0.0]))
+        key: draw(zero) if w == 0 else 1 if w == total else w / total
         for key, w in zip(keys, weights)
     }
 
@@ -345,8 +347,10 @@ def _apply_fault(draw, document, cells, fault):
 
 @st.composite
 def bba_documents(draw, n=None, faults=st.sampled_from(FAULTS), count=st.integers(0, 2)):
-    """A mass-grid document of 1..4 objects with ``count`` faults drawn from ``faults``."""
-    n = n or draw(st.integers(1, 4))
+    """A mass-grid document of 1..12 objects, mostly 1..4, with ``count``
+    faults drawn from ``faults``; a fault in a large grid lands deep in the
+    flattened cells."""
+    n = n or draw(st.one_of(st.integers(1, 4), st.integers(5, 12)))
     cells = [[draw(valid_cells()) for _ in range(n)] for _ in range(n)]
     document = {"n": n, "cells": cells}
     for _ in range(draw(count)):
@@ -416,6 +420,21 @@ class TestMassGridLoader:
         assert report.raw == raw
         assert report.max == maximum
         assert report.normalized == raw / maximum
+
+
+@pytest.mark.parametrize(
+    "rows, cell",
+    [
+        ([[{"2": 1.0}, {"4": 1.0}], [None, {"2": 1.0}]], "0, 1"),
+        ([[{"2": "1"}, {"2": 1.0}], "row"], "0, 0"),
+        ([[{"2": 1.0}, {"1": 0.5, "3": True}], [{"2": 1.0}]], "0, 1"),
+    ],
+)
+def test_a_key_or_mass_fault_is_named_before_a_later_structural_fault(rows, cell):
+    document = {"n": 2, "cells": rows}
+    assert assert_loads_like_reference(document) is BbaFormatError
+    with pytest.raises(BbaFormatError, match=rf"^cell \({cell}\): "):
+        load_from_text(document)
 
 
 class TestEncoding:
@@ -511,6 +530,16 @@ class TestBruteForce:
             assert_completions_match_reference(order)
         for convention in PsmConvention:
             assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
+
+
+@pytest.mark.parametrize("convention", list(PsmConvention))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_grid_writer_table_reproduces_every_cell(n, convention):
+    """The empty order completes to every weak order, so its grid holds every
+    pair of completions that any two orders on n objects can have."""
+    grid = bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
+    rows = list(cli._grid_rows(grid, n, float.hex, " "))
+    assert rows == [" ".join(map(float.hex, row)) for row in grid.tolist()]
 
 
 @pytest.mark.parametrize("convention", list(PsmConvention))
