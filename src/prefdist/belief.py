@@ -84,8 +84,9 @@ def _check_masses(masses: NDArray[np.float64], where: str = "") -> None:
     if masses.shape[-1] != 8:
         raise UnnormalizedMassError(f"mass vector needs 8 components, got {masses.shape[-1]}")
     total = np.zeros(masses.shape[:-1])
-    for k in range(8):  # left to right, bitwise what sum() does before Python 3.12
-        total += masses[..., k]
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, which fails the sum test
+        for k in range(8):  # left to right, bitwise what sum() does before Python 3.12
+            total += masses[..., k]
     nonzero_empty = masses[..., 0] != 0.0
     negative = ~np.all(masses >= 0.0, axis=-1)  # a NaN fails this and the sum test
     invalid = nonzero_empty | negative | ~(np.abs(total - 1.0) <= _MASS_TOLERANCE)

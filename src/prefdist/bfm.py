@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from .enumeration import compatible_tpos
 from .errors import CapExceededError
 from .model import WeakOrder, common_size
-from .psm import PsmConvention, max_psm_distance, score_rows
+from .psm import max_psm_distance, score_rows
 
 #: Most cells a grid may have: every pair of weak orders of 6 objects.
 GRID_CELL_LIMIT = 4683**2
@@ -43,7 +43,6 @@ class BfmReport:
     aver: float
     hurwicz: float
     alpha: float
-    convention: PsmConvention
 
     @property
     def n_ctpo(self) -> tuple[int, int]:
@@ -57,7 +56,6 @@ class BfmReport:
 def bfm_grid(
     ppo1: WeakOrder,
     ppo2: WeakOrder,
-    convention: PsmConvention = PsmConvention.SIGNED,
     *,
     cap: int | None = None,
 ) -> NDArray[np.float64]:
@@ -76,19 +74,18 @@ def bfm_grid(
             f"a {rows} x {cols} completion grid exceeds the limit "
             f"of {GRID_CELL_LIMIT} cells"
         )
-    a, b = score_rows(ranks1, convention), score_rows(ranks2, convention)
-    # ||a||^2 + ||b||^2 - 2 a.b in place: entries are multiples of 1/2 and no sum
+    a, b = score_rows(ranks1), score_rows(ranks2)
+    # ||a||^2 + ||b||^2 - 2 a.b in place: entries are -1, 0 or 1 and no sum
     # exceeds 4n^2, so every term is exact and so is each squared distance.
     grid = (-2.0 * a) @ b.T
     grid += np.einsum("ij,ij->i", a, a)[:, None]
     grid += np.einsum("ij,ij->i", b, b)
-    return np.divide(np.sqrt(grid, out=grid), max_psm_distance(n, convention), out=grid)
+    return np.divide(np.sqrt(grid, out=grid), max_psm_distance(n), out=grid)
 
 
 def bfm_distance(
     ppo1: WeakOrder,
     ppo2: WeakOrder,
-    convention: PsmConvention = PsmConvention.SIGNED,
     *,
     alpha: float = 0.5,
     cap: int | None = None,
@@ -96,7 +93,7 @@ def bfm_distance(
     """Full brute-force report: the grid and all four attitude scalars."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    grid = bfm_grid(ppo1, ppo2, convention, cap=cap)
+    grid = bfm_grid(ppo1, ppo2, cap=cap)
     optim = float(grid.min())
     pessim = float(grid.max())
     aver = float(grid.mean())
@@ -107,5 +104,4 @@ def bfm_distance(
         aver=aver,
         hurwicz=alpha * optim + (1.0 - alpha) * pessim,
         alpha=alpha,
-        convention=convention,
     )

@@ -88,8 +88,7 @@ def _grid_rows(
     """Each grid row's cells as ``text`` renders them, joined by ``sep``.
 
     Every cell is sqrt(k) / max_psm_distance(n) for an integer k in
-    [0, 4n(n - 1)], in both conventions, so k indexes a table that renders
-    each value present once.
+    [0, 4n(n - 1)], so k indexes a table that renders each value present once.
     """
     maximum = max_psm_distance(n)
     keys = np.rint(np.square(grid * maximum)).astype(np.intp)
@@ -148,15 +147,12 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         "pref2": render_preference(pref2, universe),
     }
     if args.method == "bfm":
-        convention = PsmConvention(args.conv)
-        report = bfm_distance(
-            pref1, pref2, convention, alpha=alpha, cap=_effective_cap(args.cap)
-        )
+        report = bfm_distance(pref1, pref2, alpha=alpha, cap=_effective_cap(args.cap))
         attitude = args.attitude or "all"
         headline = (
             report.aver if attitude == "all" else report.value(Attitude(attitude))
         )
-        maximum = max_psm_distance(len(universe), convention)
+        maximum = max_psm_distance(len(universe), PsmConvention(args.conv))
         payload.update(
             raw=headline * maximum,
             max=maximum,

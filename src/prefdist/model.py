@@ -75,10 +75,14 @@ class ObjectUniverse:
     def __len__(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: pos for pos, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise UnknownObjectError(f"unknown object {label!r}") from None
 
 
@@ -198,23 +202,7 @@ def chain_order(n: int) -> WeakOrder:
     return WeakOrder(tuple((i,) for i in range(n)), n)
 
 
-_TOKEN = re.compile(r"[A-Za-z0-9_]+|[>=()]")
-_SYMBOLS = {">", "=", "(", ")"}
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise PreferenceSyntaxError(f"unexpected character {text[pos]!r}")
-        tokens.append(match.group())
-        pos = match.end()
-    return tokens
+_LABEL = re.compile(r"[A-Za-z0-9_]+")
 
 
 def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
@@ -222,45 +210,19 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
 
     Every identifier must name a universe object and may appear only once.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text.strip():
         raise EmptyExpressionError("empty preference expression")
-
-    pos = 0
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise PreferenceSyntaxError("unexpected end of expression")
-        token = tokens[pos]
-        if expected is not None and token != expected:
-            raise PreferenceSyntaxError(f"expected {expected!r}, got {token!r}")
-        pos += 1
-        return token
-
-    def take_ident() -> str:
-        token = take()
-        if token in _SYMBOLS:
-            raise PreferenceSyntaxError(f"expected an object name, got {token!r}")
-        return token
-
-    def take_group() -> list[str]:
-        if pos < len(tokens) and tokens[pos] == "(":
-            take("(")
-            members = [take_ident()]
-            take("=")
-            members.append(take_ident())
-            while pos < len(tokens) and tokens[pos] == "=":
-                take("=")
-                members.append(take_ident())
-            take(")")
-            return members
-        return [take_ident()]
-
-    groups = [take_group()]
-    while pos < len(tokens):
-        take(">")
-        groups.append(take_group())
+    groups: list[list[str]] = []
+    for part in text.split(">"):
+        group = part.strip()
+        tie = group.startswith("(") and group.endswith(")")
+        members = [label.strip() for label in group[1:-1].split("=")] if tie else [group]
+        if (tie and len(members) < 2) or not all(map(_LABEL.fullmatch, members)):
+            raise PreferenceSyntaxError(
+                f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
+                "or a tie of two or more names, such as '(A = B)'"
+            )
+        groups.append(members)
 
     seen: set[str] = set()
     indexed: list[tuple[int, ...]] = []

@@ -33,21 +33,15 @@ class PreferenceScoreMatrix:
     convention: PsmConvention
 
 
-def score_rows(
-    ranks: NDArray[np.int64], convention: PsmConvention
-) -> NDArray[np.float64]:
-    """Flattened score matrices of total orders given as a (P, n) rank array.
+def score_rows(ranks: NDArray[np.int64]) -> NDArray[np.float64]:
+    """Flattened signed score matrices of total orders given as a (P, n) rank array.
 
     Row p is the score matrix of the order with rank vector ``ranks[p]``,
     raveled to length n*n.
     """
     rows, n = ranks.shape
     signed = np.sign(ranks[:, None, :] - ranks[:, :, None])  # +1 where row outranks column
-    if convention is PsmConvention.SIGNED:
-        entries = signed.astype(np.float64)
-    else:
-        entries = (signed + 1.0) / 2.0
-    return entries.reshape(rows, n * n)
+    return signed.astype(np.float64).reshape(rows, n * n)
 
 
 def build_psm(
@@ -61,7 +55,9 @@ def build_psm(
     if not tpo.is_total:
         raise NotTotalError("ordering does not mention every object in the universe")
     n = tpo.universe_size
-    entries = score_rows(tpo.rank_vector[None, :], convention).reshape(n, n)
+    entries = score_rows(tpo.rank_vector[None, :]).reshape(n, n)
+    if convention is PsmConvention.UNIT:
+        entries = (entries + 1.0) / 2.0
     return PreferenceScoreMatrix(entries, convention)
 
 

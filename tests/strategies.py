@@ -32,3 +32,35 @@ def weak_orders(draw, min_n=1, max_n=5, total=False):
         tuple(i for i in kept if ranks[i] == level) for level in levels
     )
     return WeakOrder(classes, n)
+
+
+#: Characters a mutation inserts or substitutes into preference text.
+MUTATION_ALPHABET = "ABCDEFGx_1Z9()=>#é \t"
+
+
+@st.composite
+def preference_texts(draw, labels, unique=False):
+    """Preference text built from the grammar over one to eight of ``labels``
+    (a label may repeat unless ``unique``), with random whitespace around every
+    token; most texts then get one to three character insertions, deletions
+    or replacements from MUTATION_ALPHABET."""
+    space = st.sampled_from(["", "", " ", "  ", "\t"])
+    names = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8, unique=unique))
+    groups = []
+    while names:
+        size = min(draw(st.sampled_from([1, 1, 2, 3])), len(names))
+        tie, names = names[:size], names[size:]
+        padded = [draw(space) + name + draw(space) for name in tie]
+        group = padded[0] if size == 1 else "(" + "=".join(padded) + ")"
+        groups.append(draw(space) + group + draw(space))
+    text = ">".join(groups)
+    if draw(st.integers(0, 9)) < 7:
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(text)))
+            kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+            char = draw(st.sampled_from(MUTATION_ALPHABET))
+            if kind == "insert":
+                text = text[:pos] + char + text[pos:]
+            elif pos < len(text):
+                text = text[:pos] + ("" if kind == "delete" else char) + text[pos + 1:]
+    return text

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,15 @@ class TestMassGridFaults:
     def test_too_deep_nesting_is_a_format_error(self):
         with pytest.raises(BbaFormatError, match="nesting"):
             load_bba_matrix(io.StringIO("[" * 100_000))
+
+    def test_infinities_of_both_signs_are_rejected_without_a_warning(self):
+        text = '{"n": 1, "cells": [[{"1": Infinity, "2": -Infinity}]]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                UnnormalizedMassError, match=r"^cell \(0, 0\): masses must be non-negative$"
+            ):
+                load_bba_matrix(io.StringIO(text))
 
 
 class TestIndirectMethod:

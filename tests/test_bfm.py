@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from prefdist import (
     CapExceededError,
     DegenerateUniverseError,
     DimensionMismatchError,
-    PsmConvention,
     WeakOrder,
     bfm_distance,
     bfm_grid,
@@ -20,6 +20,7 @@ from prefdist import (
     normalized_distance,
     render_preference,
 )
+from prefdist.cli import main
 
 TOL = 5e-5
 
@@ -164,7 +165,16 @@ class TestReport:
             for attitude in Attitude:
                 assert report.value(attitude) == pytest.approx(expected)
 
-    def test_convention_choice_does_not_move_the_grid(self, worked_pair):
-        signed = bfm_grid(*worked_pair, PsmConvention.SIGNED)
-        unit = bfm_grid(*worked_pair, PsmConvention.UNIT)
-        assert np.allclose(signed, unit, atol=1e-12)
+    def test_convention_choice_does_not_move_the_grid(self, capsys):
+        replies = {}
+        for conv in ("signed", "unit"):
+            assert main([
+                "dist", "--method", "bfm", "--objects", "A,B,C",
+                "--pref1", "C > A", "--pref2", "A > B", "--conv", conv,
+            ]) == 0
+            replies[conv] = json.loads(capsys.readouterr().out)
+        signed, unit = replies["signed"], replies["unit"]
+        for key in ("grid", "normalized", "optim", "pessim", "aver", "hurwicz"):
+            assert unit[key] == signed[key], key
+        assert unit["raw"] == signed["raw"] / 2
+        assert unit["max"] == signed["max"] / 2

@@ -1,8 +1,20 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prefdist
 from prefdist.cli import main
+
+from strategies import preference_texts
 
 TOL = 5e-5
 
@@ -298,6 +310,21 @@ class TestDistGeneral:
         err = self._rejected(capsys, tmp_path, b'{"n": 1, "cells": [[{"\xff": 1}]]}', field)
         assert "utf-8" in err
 
+    def test_infinities_of_both_signs_print_only_the_error_line(self, tmp_path):
+        # a fresh interpreter, so that a numpy RuntimeWarning would reach stderr
+        path = tmp_path / "inf.json"
+        path.write_text('{"n": 1, "cells": [[{"1": Infinity, "2": -Infinity}]]}')
+        src = str(Path(prefdist.__file__).resolve().parents[1])
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+        done = subprocess.run(
+            [sys.executable, "-m", "prefdist", "dist-general", str(path), str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: bba1: cell (0, 0): masses must be non-negative\n"
+
 
 class TestEnumerateCommand:
     def test_three_objects(self, capsys):
@@ -404,3 +431,29 @@ class TestRepeatedCalls:
             capsys, "dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"
         )
         assert payload["method"] == "direct"
+
+
+class TestPreferenceTextFuzz:
+    METHODS = ("direct", "indirect-j", "indirect-bi", "bfm")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 5))
+    def test_every_method_exits_0_or_2_naming_the_field(self, data, n):
+        labels = "ABCDE"[:n]
+        texts = preference_texts(tuple(labels), unique=True)
+        pref1, pref2 = data.draw(texts), data.draw(texts)
+        for method in self.METHODS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([
+                    "dist", "--method", method, "--objects", ",".join(labels),
+                    "--pref1", pref1, "--pref2", pref2,
+                ])
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith(("error: --pref1: ", "error: --pref2: "))
+            else:
+                assert code == 0, err.getvalue()
+                normalized = json.loads(out.getvalue())["normalized"]
+                assert math.isfinite(normalized) and 0.0 <= normalized <= 1.0

@@ -7,8 +7,9 @@ its reversal; for mass-grid files, one mass vector parsed and checked per
 cell into a tuple grid; for the brute-force method, completions found by
 filtering every weak order, one score matrix built per order and one
 Frobenius distance per completion pair; for the command line, one ``json.dumps`` of
-the whole reply and one ``repr`` per table cell.  They are slow and stay
-here only as oracles.
+the whole reply and one ``repr`` per table cell; for preference text, a
+character-loop tokenizer and a recursive-descent parser.  They are slow and
+stay here only as oracles.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -29,10 +31,14 @@ from prefdist import (
     BbaFormatError,
     BbaMatrix,
     BbaMetric,
+    DuplicateObjectError,
+    EmptyExpressionError,
     MassFunction,
     ObjectUniverse,
     PairRelation,
     PreferenceScoreMatrix,
+    PreferenceSyntaxError,
+    PrefdistError,
     PsmConvention,
     UnnormalizedMassError,
     WeakOrder,
@@ -57,7 +63,7 @@ from prefdist import (
 )
 from prefdist import cli
 
-from strategies import all_partial_orders, weak_orders
+from strategies import all_partial_orders, preference_texts, weak_orders
 
 MAX_N = 7
 REFERENCE_METRIC = {
@@ -218,6 +224,81 @@ def reference_bfm_grid(ppo1, ppo2, convention):
         for j, m2 in enumerate(psms2):
             grid[i, j] = frobenius_distance(m1, m2) / maximum
     return grid
+
+
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|[>=()]")
+_SYMBOLS = {">", "=", "(", ")"}
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise PreferenceSyntaxError(f"unexpected character {text[pos]!r}")
+        tokens.append(match.group())
+        pos = match.end()
+    return tokens
+
+
+def reference_parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
+    """Parse ``A > (B = C) > D`` style text into a weak order over ``universe``.
+
+    Every identifier must name a universe object and may appear only once.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise EmptyExpressionError("empty preference expression")
+
+    pos = 0
+
+    def take(expected: str | None = None) -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise PreferenceSyntaxError("unexpected end of expression")
+        token = tokens[pos]
+        if expected is not None and token != expected:
+            raise PreferenceSyntaxError(f"expected {expected!r}, got {token!r}")
+        pos += 1
+        return token
+
+    def take_ident() -> str:
+        token = take()
+        if token in _SYMBOLS:
+            raise PreferenceSyntaxError(f"expected an object name, got {token!r}")
+        return token
+
+    def take_group() -> list[str]:
+        if pos < len(tokens) and tokens[pos] == "(":
+            take("(")
+            members = [take_ident()]
+            take("=")
+            members.append(take_ident())
+            while pos < len(tokens) and tokens[pos] == "=":
+                take("=")
+                members.append(take_ident())
+            take(")")
+            return members
+        return [take_ident()]
+
+    groups = [take_group()]
+    while pos < len(tokens):
+        take(">")
+        groups.append(take_group())
+
+    seen: set[str] = set()
+    indexed: list[tuple[int, ...]] = []
+    for members in groups:
+        for label in members:
+            if label in seen:
+                raise DuplicateObjectError(f"object {label!r} mentioned twice")
+            seen.add(label)
+        indexed.append(tuple(universe.index(label) for label in members))
+    return WeakOrder(tuple(indexed), len(universe))
 
 
 def reference_emit(payload, fmt):
@@ -504,7 +585,7 @@ class TestBruteForce:
             for a in orders:
                 assert_completions_match_reference(a)
             for a, b in itertools.product(orders, repeat=2):
-                grid = bfm_grid(a, b, convention)
+                grid = bfm_grid(a, b)
                 assert np.array_equal(grid, reference_bfm_grid(a, b, convention)), (a, b)
 
     @settings(deadline=None, max_examples=40)
@@ -513,7 +594,7 @@ class TestBruteForce:
         a, b = pair
         for order in pair:
             assert_completions_match_reference(order)
-        assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
+        assert np.array_equal(bfm_grid(a, b), reference_bfm_grid(a, b, convention))
 
     @pytest.mark.parametrize(
         "text1, text2",
@@ -529,15 +610,17 @@ class TestBruteForce:
         for order in (a, b):
             assert_completions_match_reference(order)
         for convention in PsmConvention:
-            assert np.array_equal(bfm_grid(a, b, convention), reference_bfm_grid(a, b, convention))
+            assert np.array_equal(bfm_grid(a, b), reference_bfm_grid(a, b, convention))
 
 
 @pytest.mark.parametrize("convention", list(PsmConvention))
 @pytest.mark.parametrize("n", range(2, 6))
 def test_grid_writer_table_reproduces_every_cell(n, convention):
     """The empty order completes to every weak order, so its grid holds every
-    pair of completions that any two orders on n objects can have."""
-    grid = bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
+    pair of completions that any two orders on n objects can have; the writer
+    keys cells by the signed maximum, and the grid is the same in both conventions."""
+    grid = reference_bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
+    assert np.array_equal(bfm_grid(WeakOrder((), n), WeakOrder((), n)), grid)
     rows = list(cli._grid_rows(grid, n, float.hex, " "))
     assert rows == [" ".join(map(float.hex, row)) for row in grid.tolist()]
 
@@ -574,3 +657,38 @@ class TestCliOutput:
     )
     def test_random_pairs_up_to_five_objects(self, pair, convention, fmt):
         assert_bfm_stdout_matches_reference(*pair, convention, fmt)
+
+
+PARSE_LABELS = ("A", "B", "C", "D", "E", "F", "G", "x_1", "Z9")
+PARSE_UNIVERSE = ObjectUniverse(PARSE_LABELS[:-1])  # Z9 names no object
+
+
+def parse_outcome(parse, text):
+    """The order ``parse`` reads from ``text``, or the type of error it raises."""
+    try:
+        return parse(text, PARSE_UNIVERSE)
+    except PrefdistError as exc:
+        return type(exc)
+
+
+class TestParser:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=preference_texts(PARSE_LABELS))
+    def test_matches_the_recursive_descent_parser(self, text):
+        assert parse_outcome(parse_preference, text) == parse_outcome(
+            reference_parse_preference, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "B > A > C", "C > (A = B)", "(A = B = C)", "  C>(A =B) ", "C > A", "A > A",
+            "A > Z9", "   ", "", "A >", "> A", "A B", "(A)", "(A = B", "A = B", "A > (B > C)",
+            "A # B", "()", "( A=B )", "(A = B))", "((A = B)", "(A = B) > (A = C)",
+            "x_1>\tG", "\u00e9", "A > \u00e9", "A\x1cB", "(A = = B)", "(=A)", "A > Z9 > (",
+        ],
+    )
+    def test_fixed_cases_match_the_recursive_descent_parser(self, text):
+        assert parse_outcome(parse_preference, text) == parse_outcome(
+            reference_parse_preference, text
+        )
