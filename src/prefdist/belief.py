@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import suppress
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import IO, Any
 
 import numpy as np
@@ -387,13 +387,8 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
     Focal-set keys are "1", "2", "3", "1|2", "1|3", "2|3" and "1|2|3" (atom 1
     = row preferred, 2 = tied, 3 = column preferred); omitted subsets carry
     zero mass and empty-set keys are rejected.  Diagnostics name the first
-    offending cell in row-major order.
-
-    The grid is read in one pass over its flattened cells: rows, cells, keys
-    and masses are checked list-wide, and every mass lands in the array in
-    one assignment.  A fault cuts the grid short at the first offending cell;
-    the cells before it are still read, so an earlier cell that breaks the
-    mass rule is named first.
+    offending cell in row-major order.  A well-formed grid is read in bulk;
+    any other is walked cell by cell to its first fault.
     """
     if not isinstance(document, dict):
         raise BbaFormatError("top-level value must be a JSON object")
@@ -403,67 +398,80 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
         raise BbaFormatError("'n' must be a positive integer")
     if not isinstance(cells, list) or len(cells) != n:
         raise BbaFormatError(f"'cells' must be a list of {n} rows")
-    good_rows = next(
-        (i for i, row in enumerate(cells) if not isinstance(row, list) or len(row) != n), n
-    )
-    flat = list(chain.from_iterable(cells[:good_rows]))
-    dicts = flat
-    if not all(map(isinstance, flat, repeat(dict))):
-        dicts = flat[: list(map(isinstance, flat, repeat(dict))).index(False)]
-    sizes = list(map(len, dicts))
-    keys = list(chain.from_iterable(dicts))
-    values = list(chain.from_iterable(map(dict.values, dicts)))
+    masses = _bulk_masses(cells, n)
+    return BbaMatrix(_walked_masses(cells, n) if masses is None else masses)
 
-    # the first key or mass that fails its check, in row-major key order
-    bad = len(keys)
-    if not _FOCAL_KEY_TO_MASK.keys() >= set(keys):
-        bad = list(map(_FOCAL_KEY_TO_MASK.get, keys)).index(None)
-    if not {int, float} >= set(map(type, values)):
-        wrong = ~np.fromiter(map(isinstance, values, repeat((int, float))), bool, len(values))
-        # a bool is an int to isinstance, but not a mass
-        wrong |= np.fromiter(map(isinstance, values, repeat(bool)), bool, len(values))
-        if wrong[:bad].any():
-            bad = int(np.argmax(wrong))
+
+def _bulk_masses(cells: list[Any], n: int) -> NDArray[np.float64] | None:
+    """The (n, n, 8) masses of ``cells`` read list-wide, or None if a row, cell,
+    key or mass is malformed.  A mass is an int or a float, but not a bool."""
+    if not all(
+        isinstance(row, list) and len(row) == n and all(map(isinstance, row, repeat(dict)))
+        for row in cells
+    ):
+        return None
+    flat = list(chain.from_iterable(cells))
+    keys = list(chain.from_iterable(flat))
+    values = list(chain.from_iterable(map(dict.values, flat)))
+    if not (_FOCAL_KEY_TO_MASK.keys() >= set(keys) and {int, float} >= set(map(type, values))):
+        return None
     try:
-        numbers = np.array(values[:bad], dtype=np.float64)
-        too_large = False
+        numbers = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
-        floats: list[float] = []
-        with suppress(OverflowError):
-            # extend keeps the floats made before the error: their count is its index
-            floats.extend(map(float, islice(values, bad)))
-        bad, too_large = len(floats), True
-        numbers = np.array(floats)
-
-    cell_of = np.repeat(np.arange(len(dicts)), sizes)
-    if bad < len(keys):
-        fault, key = int(cell_of[bad]), keys[bad]
-        if key not in _FOCAL_KEY_TO_MASK:
-            reason = (
-                f"invalid focal-set key {key!r} (expected one of "
-                f"{', '.join(sorted(_FOCAL_KEY_TO_MASK))})"
-            )
-        elif too_large:
-            reason = f"mass for {key!r} is too large for a float"
-        else:
-            reason = f"mass for {key!r} must be a number, got {values[bad]!r}"
-    elif len(dicts) < len(flat):
-        fault, reason = len(dicts), "cell must be an object mapping focal-set keys to masses"
-    else:
-        fault = len(flat)  # n * n, or the first cell of the first malformed row
-
-    used = sum(sizes[:fault])  # the masses of the cells before the fault
-    masks = np.fromiter(map(_FOCAL_KEY_TO_MASK.__getitem__, islice(keys, used)), np.intp, used)
+        return None
+    cell_of = np.repeat(np.arange(n * n), list(map(len, flat)))
+    masks = np.fromiter(map(_FOCAL_KEY_TO_MASK.__getitem__, keys), np.intp, len(keys))
     masses = np.zeros((n, n, 8))
-    masses.reshape(-1)[cell_of[:used] * 8 + masks] = numbers[:used]
-    if fault == n * n:
-        return BbaMatrix(masses)
-    i, j = divmod(fault, n)
-    _check_masses(masses[:i], "cell ({}, {}): ")
-    _check_masses(masses[i, :j], f"cell ({i}, {{}}): ")
-    if fault == len(flat):
-        raise BbaFormatError(f"row {i} must hold {n} cells")
-    raise BbaFormatError(f"cell ({i}, {j}): {reason}")
+    masses.reshape(-1)[cell_of * 8 + masks] = numbers
+    return masses
+
+
+def _walked_masses(cells: list[Any], n: int) -> NDArray[np.float64]:
+    """The (n, n, 8) masses of ``cells`` read one by one in row-major order.  The
+    first malformed row, cell, key or mass raises BbaFormatError, but only once
+    the cells before it, with vacuous ones for the rest, pass the mass rule."""
+    vectors: list[list[float]] = []
+    try:
+        for i, row in enumerate(cells):
+            if not isinstance(row, list) or len(row) != n:
+                raise BbaFormatError(f"row {i} must hold {n} cells")
+            for j, cell in enumerate(row):
+                if not isinstance(cell, dict):
+                    raise BbaFormatError(
+                        f"cell ({i}, {j}): cell must be an object mapping focal-set keys to masses"
+                    )
+                vector = [0.0] * 8
+                for key, mass in cell.items():
+                    if key not in _FOCAL_KEY_TO_MASK:
+                        raise BbaFormatError(
+                            f"cell ({i}, {j}): invalid focal-set key {key!r} "
+                            f"(expected one of {', '.join(sorted(_FOCAL_KEY_TO_MASK))})"
+                        )
+                    if isinstance(mass, bool) or not isinstance(mass, (int, float)):
+                        raise BbaFormatError(
+                            f"cell ({i}, {j}): mass for {key!r} must be a number, got {mass!r}"
+                        )
+                    try:
+                        vector[_FOCAL_KEY_TO_MASK[key]] = float(mass)
+                    except OverflowError:
+                        raise BbaFormatError(
+                            f"cell ({i}, {j}): mass for {key!r} is too large for a float"
+                        ) from None
+                vectors.append(vector)
+    except BbaFormatError:
+        unread = [[0.0] * 7 + [1.0]] * (n * n - len(vectors))
+        _check_masses(np.reshape(vectors + unread, (n, n, 8)), "cell ({}, {}): ")
+        raise
+    return np.reshape(vectors, (n, n, 8))
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer of any length, so that a mass of thousands of digits is
+    named as too large for a float: ``int`` refuses over 4300 digits by default."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
 
 
 def load_bba_matrix(source: str | IO[str]) -> BbaMatrix:
@@ -471,9 +479,9 @@ def load_bba_matrix(source: str | IO[str]) -> BbaMatrix:
     try:
         if isinstance(source, str):
             with open(source, encoding="utf-8") as handle:
-                document = json.load(handle)
+                document = json.load(handle, parse_int=_json_int)
         else:
-            document = json.load(source)
+            document = json.load(source, parse_int=_json_int)
     except RecursionError:
         raise BbaFormatError("JSON nesting is too deep to parse") from None
     return bba_matrix_from_json(document)

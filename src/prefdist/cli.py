@@ -27,7 +27,12 @@ from .belief import (
 )
 from .bfm import Attitude, bfm_distance
 from .enumeration import DEFAULT_ENUMERATION_CAP, compatible_tpos, enumerate_weak_orders
-from .errors import CapExceededError, PrefdistError
+from .errors import (
+    CapExceededError,
+    DegenerateUniverseError,
+    DimensionMismatchError,
+    PrefdistError,
+)
 from .model import (
     ObjectUniverse,
     WeakOrder,
@@ -146,8 +151,16 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         "pref1": render_preference(pref1, universe),
         "pref2": render_preference(pref2, universe),
     }
+    try:
+        if args.method == "bfm":
+            report = bfm_distance(pref1, pref2, alpha=alpha, cap=_effective_cap(args.cap))
+        elif args.method == "direct":
+            report = direct_distance(pref1, pref2)
+        else:
+            report = indirect_distance(pref1, pref2, _METRICS[args.method])
+    except DegenerateUniverseError as exc:
+        raise _UsageError("--objects", str(exc)) from None
     if args.method == "bfm":
-        report = bfm_distance(pref1, pref2, alpha=alpha, cap=_effective_cap(args.cap))
         attitude = args.attitude or "all"
         headline = (
             report.aver if attitude == "all" else report.value(Attitude(attitude))
@@ -165,11 +178,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             alpha=report.alpha,
             n_ctpo=list(report.n_ctpo),
         )
-    elif args.method == "direct":
-        report = direct_distance(pref1, pref2)
-        payload.update(raw=report.raw, max=report.max, normalized=report.normalized)
     else:
-        report = indirect_distance(pref1, pref2, _METRICS[args.method])
         payload.update(raw=report.raw, max=report.max, normalized=report.normalized)
     _emit(payload, args.format)
     return 0
@@ -182,7 +191,12 @@ def _cmd_dist_general(args: argparse.Namespace) -> int:
             matrices.append(load_bba_matrix(path))
         except (PrefdistError, OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise _UsageError(field, str(exc)) from None
-    report = direct_distance_general(matrices[0], matrices[1])
+    try:
+        report = direct_distance_general(matrices[0], matrices[1])
+    except DimensionMismatchError as exc:  # the second grid disagrees with the first
+        raise _UsageError("bba2", str(exc)) from None
+    except DegenerateUniverseError as exc:
+        raise _UsageError("bba1", str(exc)) from None
     payload = {
         "method": report.method,
         "n": matrices[0].n,

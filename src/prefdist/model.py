@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterable
 
 import numpy as np
@@ -47,9 +48,12 @@ class PairRelation(Enum):
     UNKNOWN = "unknown"  # at least one object unmentioned
 
 
+_LABEL = re.compile(r"[A-Za-z0-9_]+")
+
+
 @dataclass(frozen=True)
 class ObjectUniverse:
-    """Ordered collection of distinct, non-empty object labels."""
+    """Ordered collection of distinct object labels, each a name of the grammar."""
 
     labels: tuple[str, ...]
 
@@ -57,8 +61,9 @@ class ObjectUniverse:
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise ValueError("universe must contain at least one object")
-        if any(not label for label in self.labels):
-            raise ValueError("object labels must be non-empty strings")
+        bad = next(filterfalse(_LABEL.fullmatch, self.labels), None)
+        if bad is not None:
+            raise ValueError(f"object label {bad!r} must match {_LABEL.pattern}")
         seen: set[str] = set()
         for label in self.labels:
             if label in seen:
@@ -68,8 +73,6 @@ class ObjectUniverse:
     @classmethod
     def numbered(cls, n: int) -> "ObjectUniverse":
         """Universe with default labels ``x1 .. xn``."""
-        if n < 1:
-            raise ValueError("universe must contain at least one object")
         return cls(tuple(f"x{i}" for i in range(1, n + 1)))
 
     def __len__(self) -> int:
@@ -200,9 +203,6 @@ def common_size(n1: int, n2: int) -> int:
 def chain_order(n: int) -> WeakOrder:
     """The strict chain: object 0 over object 1 over ... over object n-1."""
     return WeakOrder(tuple((i,) for i in range(n)), n)
-
-
-_LABEL = re.compile(r"[A-Za-z0-9_]+")
 
 
 def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:

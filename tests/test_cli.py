@@ -157,6 +157,26 @@ class TestDist:
         assert code == 2
         assert "--objects" in err
 
+    @pytest.mark.parametrize("method", ["direct", "indirect-j", "indirect-bi", "bfm"])
+    def test_one_object_exits_2_naming_objects(self, capsys, method):
+        code, out, err = run(
+            capsys, "dist", "--method", method, "--objects", "A", "--pref1", "A", "--pref2", "A"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --objects: normalized distances need at least two objects, got 1\n"
+
+    @pytest.mark.parametrize("command", [
+        ["dist", "--pref1", "C", "--pref2", "C"],
+        ["compatible", "--pref", "C"],
+        ["enumerate"],
+    ])
+    def test_label_outside_the_grammar_exits_2_naming_objects(self, capsys, command):
+        code, out, err = run(capsys, *command, "--objects", "A B,C")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --objects: object label 'A B' must match [A-Za-z0-9_]+\n"
+
     def test_attitude_requires_bfm(self, capsys):
         code, _, err = run(
             capsys,
@@ -278,6 +298,24 @@ class TestDistGeneral:
         code, _, err = run(capsys, "dist-general", p1, p2)
         assert code == 2
 
+    def test_one_object_grids_exit_2_naming_bba1(self, capsys, tmp_path):
+        path = self._write(tmp_path, "one.json", {"n": 1, "cells": [[{"2": 1.0}]]})
+        code, out, err = run(capsys, "dist-general", path, path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: bba1: normalized distances need at least two objects, got 1\n"
+
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (3, 2)])
+    def test_grids_of_different_sizes_exit_2_naming_bba2(self, capsys, tmp_path, n1, n2):
+        two = {"n": 2, "cells": [[{"2": 1}, {"1": 1}], [{"3": 1}, {"2": 1}]]}
+        docs = {1: {"n": 1, "cells": [[{"2": 1}]]}, 2: two, 3: self.PREF1_DOC}
+        p1 = self._write(tmp_path, "m1.json", docs[n1])
+        p2 = self._write(tmp_path, "m2.json", docs[n2])
+        code, out, err = run(capsys, "dist-general", p1, p2)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bba2: operands over different universes: {n1} vs {n2}\n"
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         p1 = self._write(tmp_path, "m1.json", self.PREF1_DOC)
         code, _, err = run(capsys, "dist-general", p1, str(tmp_path / "absent.json"))
@@ -300,6 +338,15 @@ class TestDistGeneral:
         huge = b'{"n": 1, "cells": [[{"2": 1, "1": 1' + b"0" * 400 + b"}]]}"
         err = self._rejected(capsys, tmp_path, huge, field)
         assert err.startswith(f"error: {field}: cell (0, 0): mass for '1' ")
+
+    @pytest.mark.parametrize("field", ["bba1", "bba2"])
+    def test_integer_mass_of_thousands_of_digits_exits_2_naming_the_cell(
+        self, capsys, tmp_path, field
+    ):
+        # more digits than int() converts from text
+        huge = b'{"n": 1, "cells": [[{"2": 1, "1": 1' + b"0" * 5000 + b"}]]}"
+        err = self._rejected(capsys, tmp_path, huge, field)
+        assert err == f"error: {field}: cell (0, 0): mass for '1' is too large for a float\n"
 
     @pytest.mark.parametrize("field", ["bba1", "bba2"])
     def test_too_deep_nesting_exits_2(self, capsys, tmp_path, field):

@@ -38,6 +38,11 @@ class TestObjectUniverse:
         with pytest.raises(ValueError):
             ObjectUniverse(("A", ""))
 
+    @pytest.mark.parametrize("label", ["A B", "é", "A>B", "(A)", "A=B", " A", "A\n"])
+    def test_label_outside_the_grammar_rejected(self, label):
+        with pytest.raises(ValueError, match=r"must match \[A-Za-z0-9_\]\+$"):
+            ObjectUniverse(("A0", label))
+
     def test_single_object_allowed(self):
         assert len(ObjectUniverse(("A",))) == 1
 

@@ -7,6 +7,7 @@ hypothesis to sample orders and mass functions.
 
 import itertools
 import math
+import string
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestOrderProperties:
     def test_render_parse_round_trip(self, order):
         assume(order.mentioned)
         universe = ObjectUniverse.numbered(order.universe_size)
+        assert parse_preference(render_preference(order, universe), universe) == order
+
+    @given(weak_orders(), st.data())
+    def test_render_parse_round_trip_over_grammar_labels(self, order, data):
+        assume(order.mentioned)
+        names = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
+        n = order.universe_size
+        labels = data.draw(st.lists(names, min_size=n, max_size=n, unique=True))
+        universe = ObjectUniverse(tuple(labels))
         assert parse_preference(render_preference(order, universe), universe) == order
 
     @given(weak_orders(), st.data())
