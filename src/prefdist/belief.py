@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -397,7 +398,8 @@ def bba_matrix_from_json(document: Any) -> BbaMatrix:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise BbaFormatError("'n' must be a positive integer")
     if not isinstance(cells, list) or len(cells) != n:
-        raise BbaFormatError(f"'cells' must be a list of {n} rows")
+        rows = n if n <= sys.maxsize else "'n'"  # no list is longer; str() of a huge int raises
+        raise BbaFormatError(f"'cells' must be a list of {rows} rows")
     masses = _bulk_masses(cells, n)
     return BbaMatrix(_walked_masses(cells, n) if masses is None else masses)
 

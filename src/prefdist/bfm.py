@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .enumeration import compatible_tpos
+from .enumeration import _completion_count, compatible_tpos
 from .errors import CapExceededError
 from .model import WeakOrder, common_size
 from .psm import max_psm_distance, score_rows
@@ -62,19 +62,18 @@ def bfm_grid(
     """Normalized distances between every completion of ppo1 and of ppo2.
 
     Rows follow the deterministic enumeration order of ppo1's completions,
-    columns that of ppo2's.  Raises CapExceededError, before allocating the
-    grid, when it would have more than GRID_CELL_LIMIT cells.
+    columns that of ppo2's.  Raises CapExceededError, before generating any
+    completion, when it would have more than GRID_CELL_LIMIT cells.
     """
     n = common_size(ppo1.universe_size, ppo2.universe_size)
-    ranks1 = compatible_tpos(ppo1, cap=cap).ranks
-    ranks2 = compatible_tpos(ppo2, cap=cap).ranks
-    rows, cols = len(ranks1), len(ranks2)
+    rows, cols = _completion_count(ppo1, cap=cap), _completion_count(ppo2, cap=cap)
     if rows * cols > GRID_CELL_LIMIT:
         raise CapExceededError(
             f"a {rows} x {cols} completion grid exceeds the limit "
             f"of {GRID_CELL_LIMIT} cells"
         )
-    a, b = score_rows(ranks1), score_rows(ranks2)
+    a = score_rows(compatible_tpos(ppo1, cap=cap).ranks)
+    b = score_rows(compatible_tpos(ppo2, cap=cap).ranks)
     # ||a||^2 + ||b||^2 - 2 a.b in place: entries are -1, 0 or 1 and no sum
     # exceeds 4n^2, so every term is exact and so is each squared distance.
     grid = (-2.0 * a) @ b.T

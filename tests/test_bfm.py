@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import prefdist.bfm
+import prefdist.enumeration
 from prefdist import (
     Attitude,
     CapExceededError,
@@ -99,6 +100,17 @@ class TestGrid:
             bfm_grid(*worked_pair)
         monkeypatch.setattr(prefdist.bfm, "GRID_CELL_LIMIT", 25)
         assert bfm_grid(*worked_pair).shape == (5, 5)
+
+    def test_grid_over_the_cell_limit_is_refused_before_any_completion(self, monkeypatch):
+        def generate(fixed):
+            raise AssertionError("a completion was generated")
+
+        monkeypatch.setattr(prefdist.enumeration, "_completions", generate)
+        message = "a 545835 x 545835 completion grid exceeds the limit of 21930489 cells"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            bfm_grid(WeakOrder(((0,),), 8), WeakOrder(((1,),), 8))
+        with pytest.raises(CapExceededError, match="^n=9 exceeds the enumeration cap 8$"):
+            bfm_grid(WeakOrder(((0,),), 9), WeakOrder(((1,),), 9))
 
     def test_cell_limit_admits_every_grid_of_six_objects(self):
         largest = compatible_tpos(WeakOrder((), 6)).count

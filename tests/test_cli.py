@@ -349,6 +349,13 @@ class TestDistGeneral:
         assert err == f"error: {field}: cell (0, 0): mass for '1' is too large for a float\n"
 
     @pytest.mark.parametrize("field", ["bba1", "bba2"])
+    def test_n_of_thousands_of_digits_exits_2_naming_the_rows(self, capsys, tmp_path, field):
+        # more digits than str() converts to text
+        huge = b'{"n": 1' + b"0" * 5000 + b', "cells": []}'
+        err = self._rejected(capsys, tmp_path, huge, field)
+        assert err == f"error: {field}: 'cells' must be a list of 'n' rows\n"
+
+    @pytest.mark.parametrize("field", ["bba1", "bba2"])
     def test_too_deep_nesting_exits_2(self, capsys, tmp_path, field):
         self._rejected(capsys, tmp_path, b"[" * 100_000, field)
 

@@ -5,11 +5,11 @@ per object pair read from a rank dictionary, one mass function per grid cell,
 one metric call per cell, and maxima measured between the strict chain and
 its reversal; for mass-grid files, one mass vector parsed and checked per
 cell into a tuple grid; for the brute-force method, completions found by
-filtering every weak order, one score matrix built per order and one
-Frobenius distance per completion pair; for the command line, one ``json.dumps`` of
-the whole reply and one ``repr`` per table cell; for preference text, a
-character-loop tokenizer and a recursive-descent parser.  They are slow and
-stay here only as oracles.
+filtering every weak order that a per-object recursion generates, one score
+matrix built per order and one Frobenius distance per completion pair; for
+the command line, one ``json.dumps`` of the whole reply and one ``repr`` per
+table cell; for preference text, a character-loop tokenizer and a
+recursive-descent parser.  They are slow and stay here only as oracles.
 """
 
 import contextlib
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+from typing import Iterator, Sequence
 from unittest import mock
 
 import numpy as np
@@ -192,11 +193,64 @@ def reference_indirect_max(n, metric):
     )
 
 
+def reference_rank_vectors(fixed: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Canonical rank vectors agreeing with ``fixed``, in lexicographic order.
+
+    vec[i] is the class position of object i (0 = most preferred).  A vector
+    is canonical when the set of used values is {0, ..., max}; each such
+    vector corresponds to exactly one weak order.  ``fixed`` is a partial
+    order's rank vector (-1 = unmentioned); a mentioned object only takes the
+    values [lo, hi) that keep its relation to the mentioned objects before it.
+    """
+    n = len(fixed)
+    vec: list[int] = []
+    counts = [0] * n
+
+    def extend(used_max: int, holes: int) -> Iterator[tuple[int, ...]]:
+        pos = len(vec)
+        if pos == n:
+            if holes == 0:
+                yield tuple(vec)
+            return
+        remaining = n - pos
+        lo, hi, rank = 0, n, fixed[pos]
+        if rank >= 0:
+            for other, value in zip(fixed, vec):
+                if 0 <= other <= rank:
+                    lo = max(lo, value + (other < rank))
+                if other >= rank:
+                    hi = min(hi, value + (other == rank))
+        for value in range(lo, hi):
+            if counts[value] == 0:
+                if value <= used_max:
+                    new_max, new_holes = used_max, holes - 1
+                else:
+                    new_max, new_holes = value, holes + (value - used_max - 1)
+            else:
+                new_max, new_holes = used_max, holes
+            if new_holes > remaining - 1:
+                continue  # not enough slots left to fill every gap
+            counts[value] += 1
+            vec.append(value)
+            yield from extend(new_max, new_holes)
+            vec.pop()
+            counts[value] -= 1
+
+    yield from extend(-1, 0)
+
+
+def reference_order(ranks):
+    n = len(ranks)
+    return WeakOrder(
+        tuple(tuple(i for i in range(n) if ranks[i] == rank) for rank in range(max(ranks) + 1)), n
+    )
+
+
 def reference_compatible_tpos(ppo):
     mentioned = ppo.mentioned
     return tuple(
         candidate
-        for candidate in enumerate_weak_orders(ppo.universe_size)
+        for candidate in map(reference_order, reference_rank_vectors((-1,) * ppo.universe_size))
         if candidate.restrict(mentioned) == ppo
     )
 
@@ -577,6 +631,20 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_empty_order_completes_to_every_weak_order(self, n):
         assert compatible_tpos(WeakOrder((), n)).ctpos == tuple(enumerate_weak_orders(n))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_completions_are_bitwise_the_recursive_generator(self, n):
+        for order in all_partial_orders(n):
+            rows = list(reference_rank_vectors(order.rank_vector.tolist()))
+            expected = np.array(rows, dtype=np.int64).reshape(-1, n)
+            ranks = compatible_tpos(order).ranks
+            assert ranks.dtype == expected.dtype and ranks.shape == expected.shape, order
+            assert ranks.tobytes() == expected.tobytes(), order
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weak_orders_follow_the_recursive_generator(self, n):
+        vectors = [tuple(order.rank_vector.tolist()) for order in enumerate_weak_orders(n)]
+        assert vectors == list(reference_rank_vectors((-1,) * n))
 
     @pytest.mark.parametrize("convention", list(PsmConvention))
     def test_every_pair_of_up_to_three_objects(self, convention):

@@ -9,6 +9,9 @@ from prefdist import (
     enumerate_weak_orders,
     render_preference,
 )
+from prefdist.enumeration import _completion_count
+
+from strategies import all_partial_orders
 
 # All 13 weak orders of three objects.
 ALL_THREE_OBJECT_ORDERS = {
@@ -143,3 +146,8 @@ class TestCompatibleTpos:
         first, second = compatible_tpos(pref("C > A")), compatible_tpos(pref("C > A"))
         assert first == second and hash(first) == hash(second)
         assert first != compatible_tpos(pref("A > B"))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_completion_count_matches_the_generated_completions(self, n):
+        for order in all_partial_orders(n):
+            assert _completion_count(order) == compatible_tpos(order).count, order
