@@ -178,7 +178,6 @@ def bba_from_relation(relation: PairRelation) -> MassFunction:
 #: The mass function of each relation code (see WeakOrder.relation_codes).
 _CODE_MASS = tuple(bba_from_relation(relation) for relation in PairRelation)
 _CODE_MASSES = np.array(_CODE_MASS)
-_SUCC, _PREC = (list(PairRelation).index(r) for r in (PairRelation.SUCC, PairRelation.PREC))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +296,10 @@ _CODE_SCORE = {
     for metric, distance in _METRIC_FN.items()
 }
 
+#: Squared distance between two cells by relation codes: of the masses, of the indirect scores.
+_DIRECT_COST = np.square(_CODE_MASSES[:, None] - _CODE_MASSES).sum(axis=-1)
+_INDIRECT_COST = {metric: np.square(s[:, None] - s) for metric, s in _CODE_SCORE.items()}
+
 
 @dataclass(frozen=True)
 class DistanceReport:
@@ -308,24 +311,29 @@ class DistanceReport:
     normalized: float
 
 
-def _direct_max(n: int) -> float:
-    # The chain and its reversal disagree on all n(n-1) off-diagonal cells,
-    # each with two unit mass components apart.
-    return math.sqrt(2 * n * (n - 1))
+def _report(method: str, raw: float, n: int, cost: NDArray[np.float64]) -> DistanceReport:
+    # The chain and its reversal meet as SUCC (code 0) against PREC (code 2) off the diagonal.
+    maximum = math.sqrt(n * (n - 1) * float(cost[0, 2]))
+    return DistanceReport(method, raw, maximum, raw / maximum)
+
+
+def _category_distance(
+    method: str, ppo1: WeakOrder, ppo2: WeakOrder, cost: NDArray[np.float64]
+) -> DistanceReport:
+    """Root of the summed ``cost`` of the cells, counted by pair of relation codes."""
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
+    counts = np.bincount((4 * ppo1.relation_codes() + ppo2.relation_codes()).ravel(), minlength=16)
+    counts = counts.reshape(4, 4) + counts.reshape(4, 4).T  # swapped operands give the same bits
+    return _report(method, math.sqrt(float((counts * cost).sum()) / 2), n, cost)
 
 
 def direct_distance(ppo1: WeakOrder, ppo2: WeakOrder) -> DistanceReport:
     """Distance between two (partial) orders through their full mass grids.
 
     No enumeration is involved: cost is quadratic in the number of objects.
-    Cells of different relations differ by 1 in exactly two mass components.
     Normalization divides by the chain-vs-reversed-chain distance.
     """
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    differing = int(np.count_nonzero(ppo1.relation_codes() != ppo2.relation_codes()))
-    raw = math.sqrt(2 * differing)
-    maximum = _direct_max(n)
-    return DistanceReport("direct", raw, maximum, raw / maximum)
+    return _category_distance("direct", ppo1, ppo2, _DIRECT_COST)
 
 
 def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
@@ -339,9 +347,7 @@ def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
     n = common_size(b1.n, b2.n)
     # Equals the Frobenius norm of the flattened 8N x 8N difference: each mass
     # component appears exactly once in the sum of squares either way.
-    raw = float(np.linalg.norm(b1.masses - b2.masses))
-    maximum = _direct_max(n)
-    return DistanceReport("direct", raw, maximum, raw / maximum)
+    return _report("direct", float(np.linalg.norm(b1.masses - b2.masses)), n, _DIRECT_COST)
 
 
 def indirect_psm(ppo: WeakOrder, metric: BbaMetric) -> NDArray[np.float64]:
@@ -363,12 +369,7 @@ def indirect_distance(
     method: the N x N matrix keeps only each cell's distance to the
     reference, not the cell itself.
     """
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    raw = float(np.linalg.norm(indirect_psm(ppo1, metric) - indirect_psm(ppo2, metric)))
-    # The chain and its reversal swap SUCC and PREC on every off-diagonal cell.
-    scores = _CODE_SCORE[metric]
-    maximum = math.sqrt(n * (n - 1)) * float(abs(scores[_PREC] - scores[_SUCC]))
-    return DistanceReport(_METRIC_METHOD_NAME[metric], raw, maximum, raw / maximum)
+    return _category_distance(_METRIC_METHOD_NAME[metric], ppo1, ppo2, _INDIRECT_COST[metric])
 
 
 _FOCAL_KEY_TO_MASK = {

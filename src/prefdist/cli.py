@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,7 +26,12 @@ from .belief import (
     load_bba_matrix,
 )
 from .bfm import Attitude, bfm_distance
-from .enumeration import DEFAULT_ENUMERATION_CAP, compatible_tpos, enumerate_weak_orders
+from .enumeration import (
+    DEFAULT_ENUMERATION_CAP,
+    _order_from_ranks,
+    compatible_tpos,
+    enumerate_weak_orders,
+)
 from .errors import (
     CapExceededError,
     DegenerateUniverseError,
@@ -87,10 +92,9 @@ def _effective_cap(flag: int | None) -> int:
     return cap
 
 
-def _grid_rows(
-    grid: NDArray[np.float64], n: int, text: Callable[[float], str], sep: str
-) -> Iterator[str]:
-    """Each grid row's cells as ``text`` renders them, joined by ``sep``.
+def _grid_rows(grid: NDArray[np.float64], n: int, sep: str) -> Iterator[str]:
+    """Each grid row's cells as ``repr`` renders them, joined by ``sep``; for a
+    finite float, ``json.dumps`` writes the same text.
 
     Every cell is sqrt(k) / max_psm_distance(n) for an integer k in
     [0, 4n(n - 1)], so k indexes a table that renders each value present once.
@@ -99,7 +103,7 @@ def _grid_rows(
     keys = np.rint(np.square(grid * maximum)).astype(np.intp)
     present = np.flatnonzero(np.bincount(keys.ravel()))
     texts = np.empty(present[-1] + 1, dtype=object)
-    texts[present] = [text(v) for v in (np.sqrt(present.astype(np.float64)) / maximum).tolist()]
+    texts[present] = [repr(v) for v in (np.sqrt(present.astype(np.float64)) / maximum).tolist()]
     return map(sep.join, texts[keys].tolist())
 
 
@@ -111,7 +115,7 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
         for k, (key, value) in enumerate(payload.items()):
             write((", " if k else "") + json.dumps(key) + ": ")
             if key == "grid":
-                rows = _grid_rows(value, len(payload["objects"]), json.dumps, ", ")
+                rows = _grid_rows(value, len(payload["objects"]), ", ")
                 for i, row in enumerate(rows):
                     write((", [" if i else "[[") + row + "]")
                 write("]")
@@ -122,7 +126,7 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
     for key, value in payload.items():
         if key == "grid":
             print("grid:")
-            for row in _grid_rows(value, len(payload["objects"]), repr, "  "):
+            for row in _grid_rows(value, len(payload["objects"]), "  "):
                 print("  " + row)
         elif isinstance(value, float):
             print(f"{key}: {value!r}")
@@ -230,8 +234,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_compatible(args: argparse.Namespace) -> int:
     universe = _parse_objects(args.objects)
     ppo = _parse_pref(args.pref, universe, "--pref")
-    for order in compatible_tpos(ppo, cap=_effective_cap(args.cap)).ctpos:
-        print(render_preference(order, universe))
+    # row by row: ctpos would hold every completion as a WeakOrder before the first line
+    for ranks in compatible_tpos(ppo, cap=_effective_cap(args.cap)).ranks:
+        print(render_preference(_order_from_ranks(ranks.tolist()), universe))
     return 0
 
 

@@ -64,11 +64,11 @@ class ObjectUniverse:
         bad = next(filterfalse(_LABEL.fullmatch, self.labels), None)
         if bad is not None:
             raise ValueError(f"object label {bad!r} must match {_LABEL.pattern}")
-        seen: set[str] = set()
-        for label in self.labels:
-            if label in seen:
+        positions: dict[str, int] = {}
+        for pos, label in enumerate(self.labels):
+            if positions.setdefault(label, pos) != pos:
                 raise DuplicateObjectError(f"duplicate object label {label!r}")
-            seen.add(label)
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def numbered(cls, n: int) -> "ObjectUniverse":
@@ -77,10 +77,6 @@ class ObjectUniverse:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {label: pos for pos, label in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         try:

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefdist
+from prefdist import ObjectUniverse, enumerate_weak_orders, render_preference
 from prefdist.cli import main
+from prefdist.enumeration import CompatibleSet
 
 from strategies import preference_texts
 
@@ -446,6 +448,17 @@ class TestCompatibleCommand:
             "C > (A = B)",
             "(B = C) > A",
         }
+
+    def test_completions_print_without_building_the_tuple_of_orders(self, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("compatible read CompatibleSet.ctpos")
+
+        monkeypatch.setattr(CompatibleSet, "ctpos", property(refuse))
+        code, out, _ = run(capsys, "compatible", "--objects", "A,B,C,D", "--pref", "C")
+        assert code == 0
+        universe = ObjectUniverse(tuple("ABCD"))
+        expected = [render_preference(order, universe) for order in enumerate_weak_orders(4)]
+        assert out.splitlines() == expected  # C alone: every weak order of four objects
 
     def test_parse_error_names_the_field(self, capsys):
         code, _, err = run(capsys, "compatible", "--objects", "A,B,C", "--pref", "C >")

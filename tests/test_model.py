@@ -30,6 +30,10 @@ class TestObjectUniverse:
         with pytest.raises(DuplicateObjectError):
             ObjectUniverse(("A", "B", "A"))
 
+    def test_the_first_repeated_label_is_named(self):
+        with pytest.raises(DuplicateObjectError, match="'B'"):
+            ObjectUniverse(("A", "B", "B", "A"))
+
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
             ObjectUniverse(())

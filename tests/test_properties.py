@@ -8,6 +8,7 @@ hypothesis to sample orders and mass functions.
 import itertools
 import math
 import string
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -228,6 +229,24 @@ class TestMetricAxiomsAtFourAndFive:
             assert d(a, b) == d(b, a), name
             assert d(a, c) <= d(a, b) + d(b, c) + 1e-12, name
             assert (d(a, b) == 0.0) == (a == b), name
+
+
+class TestOperandSymmetryAtBeliefOrdersSizes:
+    """The belief methods at N = 6..64, the sizes of the belief_orders workload."""
+
+    @given(st.integers(6, 64), st.data())
+    def test_reports_are_bitwise_symmetric_and_zero_only_on_equal_codes(self, n, data):
+        a = data.draw(weak_orders(min_n=n, max_n=n))
+        b = data.draw(st.one_of(weak_orders(min_n=n, max_n=n), st.just(a)))
+        same = np.array_equal(a.relation_codes(), b.relation_codes())
+        reports = [(direct_distance(a, b), direct_distance(b, a))] + [
+            (indirect_distance(a, b, metric), indirect_distance(b, a, metric))
+            for metric in BbaMetric
+        ]
+        for forward, backward in reports:
+            bits = [list(map(float.hex, astuple(r)[1:])) for r in (forward, backward)]
+            assert bits[0] == bits[1], forward.method
+            assert (forward.raw == 0.0) == same, forward.method
 
 
 class TestNormalizers:
