@@ -9,6 +9,7 @@ alpha = 0.5 is the midpoint attitude).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +19,7 @@ from numpy.typing import NDArray
 from .enumeration import _completion_count, compatible_tpos
 from .errors import CapExceededError
 from .model import WeakOrder, common_size
-from .psm import max_psm_distance, score_rows
+from .psm import max_psm_distance
 
 #: Most cells a grid may have: every pair of weak orders of 6 objects.
 GRID_CELL_LIMIT = 4683**2
@@ -35,9 +36,10 @@ class Attitude(Enum):
 
 @dataclass(frozen=True, eq=False)
 class BfmReport:
-    """Completion-pair distance grid plus all four attitude scalars."""
+    """Squared completion-pair distances plus all four attitude scalars."""
 
-    grid: NDArray[np.float64]
+    squared: NDArray[np.unsignedinteger]
+    maximum: float
     optim: float
     pessim: float
     aver: float
@@ -45,12 +47,59 @@ class BfmReport:
     alpha: float
 
     @property
+    def grid(self) -> NDArray[np.float64]:
+        """The normalized grid, sqrt(squared) / maximum, built on each read."""
+        return _normalized(self.squared, self.maximum)
+
+    @property
     def n_ctpo(self) -> tuple[int, int]:
         """Completion counts of the two inputs (grid rows, grid columns)."""
-        return (self.grid.shape[0], self.grid.shape[1])
+        return (self.squared.shape[0], self.squared.shape[1])
 
     def value(self, attitude: Attitude) -> float:
         return getattr(self, attitude.value)  # each value names its field
+
+
+@functools.cache
+def _upper(n: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    return np.triu_indices(n, 1)
+
+
+def _squared_grid(
+    ppo1: WeakOrder, ppo2: WeakOrder, cap: int | None
+) -> tuple[NDArray[np.unsignedinteger], float]:
+    """Squared unnormalized distances k between every completion pair, and the maximum.
+
+    Raises CapExceededError, before generating any completion, when the grid
+    would have more than GRID_CELL_LIMIT cells.
+    """
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
+    rows, cols = _completion_count(ppo1, cap=cap), _completion_count(ppo2, cap=cap)
+    if rows * cols > GRID_CELL_LIMIT:
+        raise CapExceededError(
+            f"a {rows} x {cols} completion grid exceeds the limit "
+            f"of {GRID_CELL_LIMIT} cells"
+        )
+    # A signed score matrix is antisymmetric, so k is twice the squared
+    # distance over its upper triangle, |u|^2 + |v|^2 - 2 u.v.  Entries are
+    # -1, 0 or 1 and k <= 4n(n - 1), so below 2^24 every float32 partial sum
+    # is an exact integer.
+    top = 4 * n * (n - 1)
+    dtype = np.float32 if top < 2**24 else np.float64
+    i, j = _upper(n)
+    u, v = (
+        np.sign(ranks[:, j] - ranks[:, i]).astype(dtype)
+        for ranks in (compatible_tpos(ppo1, cap=cap).ranks, compatible_tpos(ppo2, cap=cap).ranks)
+    )
+    grid = u @ (-4 * v).T
+    grid += 2 * np.einsum("ij,ij->i", u, u)[:, None]
+    grid += 2 * np.einsum("ij,ij->i", v, v)
+    return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
+
+
+def _normalized(squared: NDArray[np.unsignedinteger], maximum: float) -> NDArray[np.float64]:
+    grid = np.sqrt(squared, dtype=np.float64)  # a bare sqrt of uint8 is float16
+    return np.divide(grid, maximum, out=grid)
 
 
 def bfm_grid(
@@ -65,21 +114,7 @@ def bfm_grid(
     columns that of ppo2's.  Raises CapExceededError, before generating any
     completion, when it would have more than GRID_CELL_LIMIT cells.
     """
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    rows, cols = _completion_count(ppo1, cap=cap), _completion_count(ppo2, cap=cap)
-    if rows * cols > GRID_CELL_LIMIT:
-        raise CapExceededError(
-            f"a {rows} x {cols} completion grid exceeds the limit "
-            f"of {GRID_CELL_LIMIT} cells"
-        )
-    a = score_rows(compatible_tpos(ppo1, cap=cap).ranks)
-    b = score_rows(compatible_tpos(ppo2, cap=cap).ranks)
-    # ||a||^2 + ||b||^2 - 2 a.b in place: entries are -1, 0 or 1 and no sum
-    # exceeds 4n^2, so every term is exact and so is each squared distance.
-    grid = (-2.0 * a) @ b.T
-    grid += np.einsum("ij,ij->i", a, a)[:, None]
-    grid += np.einsum("ij,ij->i", b, b)
-    return np.divide(np.sqrt(grid, out=grid), max_psm_distance(n), out=grid)
+    return _normalized(*_squared_grid(ppo1, ppo2, cap))
 
 
 def bfm_distance(
@@ -89,18 +124,25 @@ def bfm_distance(
     alpha: float = 0.5,
     cap: int | None = None,
 ) -> BfmReport:
-    """Full brute-force report: the grid and all four attitude scalars."""
+    """Full brute-force report: the squared grid and all four attitude scalars.
+
+    Each scalar comes from the histogram of squared distances: optim and
+    pessim from its least and greatest k, aver as sum(c_k sqrt(k)) / (P Q max).
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    grid = bfm_grid(ppo1, ppo2, cap=cap)
-    optim = float(grid.min())
-    pessim = float(grid.max())
-    aver = float(grid.mean())
+    squared, maximum = _squared_grid(ppo1, ppo2, cap)
+    counts = np.bincount(squared.ravel())
+    present = np.flatnonzero(counts)
+    roots = np.sqrt(present.astype(np.float64))
+    optim = float(roots[0] / maximum)
+    pessim = float(roots[-1] / maximum)
     return BfmReport(
-        grid=grid,
+        squared=squared,
+        maximum=maximum,
         optim=optim,
         pessim=pessim,
-        aver=aver,
+        aver=float(counts[present] @ roots) / (squared.size * maximum),
         hurwicz=alpha * optim + (1.0 - alpha) * pessim,
         alpha=alpha,
     )

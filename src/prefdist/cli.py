@@ -92,36 +92,49 @@ def _effective_cap(flag: int | None) -> int:
     return cap
 
 
-def _grid_rows(grid: NDArray[np.float64], n: int, sep: str) -> Iterator[str]:
-    """Each grid row's cells as ``repr`` renders them, joined by ``sep``; for a
-    finite float, ``json.dumps`` writes the same text.
+def _grid_rows(squared: NDArray[np.unsignedinteger], n: int, sep: str) -> Iterator[str]:
+    """Each row of the grid of cells sqrt(k) / max_psm_distance(n), where
+    ``squared`` holds the integers k, as ``repr`` renders the cells, joined by
+    ``sep``; for a finite float, ``json.dumps`` writes the same text.
 
-    Every cell is sqrt(k) / max_psm_distance(n) for an integer k in
-    [0, 4n(n - 1)], so k indexes a table that renders each value present once.
+    Each k present is rendered once.  A grid of more than 2m^2 cells, m the
+    number of distinct k, is looked up two adjacent cells at a time, in a table
+    of the pre-joined texts of every pair present; an odd last column is
+    looked up alone.
     """
-    maximum = max_psm_distance(n)
-    keys = np.rint(np.square(grid * maximum)).astype(np.intp)
-    present = np.flatnonzero(np.bincount(keys.ravel()))
-    texts = np.empty(present[-1] + 1, dtype=object)
-    texts[present] = [repr(v) for v in (np.sqrt(present.astype(np.float64)) / maximum).tolist()]
-    return map(sep.join, texts[keys].tolist())
+    present = np.flatnonzero(np.bincount(squared.ravel()))
+    m = len(present)
+    roots = np.sqrt(present.astype(np.float64)) / max_psm_distance(n)
+    texts = np.array([repr(v) for v in roots.tolist()], dtype=object)
+    codes = np.zeros(present[-1] + 1, dtype=np.intp)
+    codes[present] = np.arange(m)
+    codes = codes.take(squared)
+    if squared.size <= 2 * m * m:
+        return map(sep.join, texts.take(codes).tolist())
+    cols = squared.shape[1]
+    pairs = codes[:, : cols - 1 : 2] * m + codes[:, 1::2]
+    seen = np.flatnonzero(np.bincount(pairs.ravel(), minlength=m * m))
+    table = np.empty(m * m, dtype=object)
+    table[seen] = [texts[p // m] + sep + texts[p % m] for p in seen.tolist()]
+    cells = table.take(pairs)
+    if cols % 2:
+        cells = np.concatenate([cells, texts.take(codes[:, -1:])], axis=1)
+    return map(sep.join, cells.tolist())
 
 
 def _emit(payload: dict[str, Any], fmt: str) -> None:
     """Print ``payload`` as one JSON object or as a table, writing a grid row by row."""
     if fmt == "json":
+        if "grid" not in payload:
+            print(json.dumps(payload))
+            return
+        keys = list(payload)  # a bfm reply has keys before and after its grid
+        at = keys.index("grid")
         write = sys.stdout.write
-        write("{")
-        for k, (key, value) in enumerate(payload.items()):
-            write((", " if k else "") + json.dumps(key) + ": ")
-            if key == "grid":
-                rows = _grid_rows(value, len(payload["objects"]), ", ")
-                for i, row in enumerate(rows):
-                    write((", [" if i else "[[") + row + "]")
-                write("]")
-            else:
-                write(json.dumps(value))
-        write("}\n")
+        write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": ')
+        for i, row in enumerate(_grid_rows(payload["grid"], len(payload["objects"]), ", ")):
+            write((", [" if i else "[[") + row + "]")
+        write("], " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
         return
     for key, value in payload.items():
         if key == "grid":
@@ -174,7 +187,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             raw=headline * maximum,
             max=maximum,
             normalized=headline,
-            grid=report.grid,
+            grid=report.squared,
             optim=report.optim,
             pessim=report.pessim,
             aver=report.aver,

@@ -112,6 +112,28 @@ class TestGrid:
         with pytest.raises(CapExceededError, match="^n=9 exceeds the enumeration cap 8$"):
             bfm_grid(WeakOrder(((0,),), 9), WeakOrder(((1,),), 9))
 
+    def test_squared_grid_holds_the_golden_integers(self, abc, worked_pair):
+        report = bfm_distance(*worked_pair)
+        rows = [render_preference(t, abc) for t in compatible_tpos(worked_pair[0]).ctpos]
+        cols = [render_preference(t, abc) for t in compatible_tpos(worked_pair[1]).ctpos]
+        assert report.squared.dtype == np.uint8 and report.maximum == math.sqrt(24)
+        for row_name, expected_row in GOLDEN_SQUARED.items():
+            for col_name, k in expected_row.items():
+                assert report.squared[rows.index(row_name), cols.index(col_name)] == k
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(8, np.uint8), (9, np.uint16), (2048, np.uint32), (2049, np.uint32)]
+    )
+    def test_squared_grid_type_and_exactness_at_the_range_edges(self, n, dtype):
+        """k <= 4n(n - 1) picks the smallest unsigned type; the Gram product runs
+        in float32 while 4n(n - 1) < 2^24, up to n = 2048, and in float64 beyond."""
+        chain = chain_order(n)
+        swapped = WeakOrder(((1,), (0,)) + chain.classes[2:], n)
+        for other, k in ((chain.reverse(), 4 * n * (n - 1)), (swapped, 8), (chain, 0)):
+            report = bfm_distance(chain, other, cap=n)
+            assert report.squared.dtype == dtype and report.squared.tolist() == [[k]]
+        assert bfm_distance(chain, chain.reverse(), cap=n).pessim == 1.0
+
     def test_cell_limit_admits_every_grid_of_six_objects(self):
         largest = compatible_tpos(WeakOrder((), 6)).count
         assert largest == 4683

@@ -6,13 +6,15 @@ one metric call per cell, and maxima measured between the strict chain and
 its reversal; for mass-grid files, one mass vector parsed and checked per
 cell into a tuple grid; for the brute-force method, completions found by
 filtering every weak order that a per-object recursion generates, one score
-matrix built per order and one Frobenius distance per completion pair; for
+matrix built per order and one Frobenius distance per completion pair, and
+the float64 grid that a Gram product over whole score matrices gave; for
 the command line, one ``json.dumps`` of the whole reply and one ``repr`` per
 table cell; for preference text, a character-loop tokenizer and a
 recursive-descent parser.  They are slow and stay here only as oracles.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -45,6 +47,7 @@ from prefdist import (
     WeakOrder,
     bba_from_relation,
     belief_interval_distance,
+    bfm_distance,
     bfm_grid,
     build_bba_matrix,
     build_psm,
@@ -63,6 +66,7 @@ from prefdist import (
     render_preference,
 )
 from prefdist import cli
+from prefdist.psm import score_rows
 
 from strategies import all_partial_orders, preference_texts, weak_orders
 
@@ -280,6 +284,26 @@ def reference_bfm_grid(ppo1, ppo2, convention):
     return grid
 
 
+@functools.cache
+def float_score_rows(order):
+    return score_rows(compatible_tpos(order).ranks)
+
+
+def float_gram_grid(ppo1, ppo2):
+    """The normalized grid as a float64 Gram product over whole score matrices."""
+    a, b = float_score_rows(ppo1), float_score_rows(ppo2)
+    grid = (-2.0 * a) @ b.T
+    grid += np.einsum("ij,ij->i", a, a)[:, None]
+    grid += np.einsum("ij,ij->i", b, b)
+    return np.divide(np.sqrt(grid, out=grid), max_psm_distance(ppo1.universe_size), out=grid)
+
+
+def reference_grid_rows(squared, n, sep):
+    """Each row of the grid of cells sqrt(k) / max, one ``repr`` per cell."""
+    maximum = reference_max_psm_distance(n, PsmConvention.SIGNED)
+    return [sep.join(repr(math.sqrt(k) / maximum) for k in row) for row in squared.tolist()]
+
+
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[>=()]")
 _SYMBOLS = {">", "=", "(", ")"}
 
@@ -356,8 +380,10 @@ def reference_parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder
 
 
 def reference_emit(payload, fmt):
-    if "grid" in payload:
-        payload = {**payload, "grid": payload["grid"].tolist()}
+    if "grid" in payload:  # the payload carries the squared distances k
+        maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
+        grid = [[math.sqrt(k) / maximum for k in row] for row in payload["grid"].tolist()]
+        payload = {**payload, "grid": grid}
     if fmt == "json":
         print(json.dumps(payload))
         return
@@ -686,11 +712,60 @@ class TestBruteForce:
 def test_grid_writer_table_reproduces_every_cell(n, convention):
     """The empty order completes to every weak order, so its grid holds every
     pair of completions that any two orders on n objects can have; the writer
-    keys cells by the signed maximum, and the grid is the same in both conventions."""
+    takes the squared distances, and the grid is the same in both conventions."""
     grid = reference_bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
-    assert np.array_equal(bfm_grid(WeakOrder((), n), WeakOrder((), n)), grid)
-    rows = list(cli._grid_rows(grid, n, " "))
+    report = bfm_distance(WeakOrder((), n), WeakOrder((), n))
+    assert np.array_equal(report.grid, grid)
+    rows = list(cli._grid_rows(report.squared, n, " "))
     assert rows == [" ".join(map(repr, row)) for row in grid.tolist()]
+
+
+# Squared distances at n = 3 (even, at most 24), named by shape and by the side
+# of the writer's gate: a grid of more than 2m^2 cells, m distinct values, is
+# looked up two cells at a time.
+WRITER_GRIDS = {
+    "one_cell": [[8]],
+    "one_column_per_cell": [[0], [8], [24]],
+    "one_column_pairs": [[0], [8], [0], [8], [0], [8], [0], [8], [0]],
+    "odd_columns_per_cell": [[0, 8, 8, 0, 24], [24, 24, 0, 8, 8], [8, 0, 24, 24, 0]],
+    "odd_columns_pairs": [[0, 8, 8, 0, 0], [0, 0, 0, 8, 8], [8, 0, 8, 8, 0]],
+    "one_value_pairs": [[12] * 4] * 4,
+    "one_value_odd_pairs": [[12] * 3] * 3,
+    "at_gate_per_cell": [[0, 8, 8, 0], [8, 0, 0, 8]],
+    "past_gate_odd_pairs": [[0, 8, 0], [8, 8, 0], [0, 0, 8]],
+    "past_gate_even_pairs": [[0, 8, 0], [8, 8, 0], [0, 0, 8], [8, 0, 8]],
+}
+
+
+@pytest.mark.parametrize("sep", [", ", "  "])
+@pytest.mark.parametrize("name", list(WRITER_GRIDS))
+def test_grid_writer_shapes_and_gate_sides(name, sep):
+    squared = np.array(WRITER_GRIDS[name], dtype=np.uint8)
+    m = len(np.unique(squared))
+    assert (squared.size > 2 * m * m) == name.endswith("_pairs")
+    assert list(cli._grid_rows(squared.T, 3, sep)) == reference_grid_rows(squared.T, 3, sep)
+    assert list(cli._grid_rows(squared, 3, sep)) == reference_grid_rows(squared, 3, sep)
+
+
+PAIRS_UP_TO_FOUR = [
+    pair for n in (2, 3, 4) for pair in itertools.product(all_partial_orders(n), repeat=2)
+]
+
+
+def test_integer_grid_against_the_float_gram_product():
+    """Both float grids stay float64 (a bare sqrt of a uint8 grid is float16) and
+    bitwise the float Gram product; optim, pessim and hurwicz are bitwise its
+    extremes, and aver, a histogram sum, is its mean within 1e-12."""
+    for a, b in PAIRS_UP_TO_FOUR:
+        expected = float_gram_grid(a, b)
+        report = bfm_distance(a, b, alpha=0.3)
+        for grid in (bfm_grid(a, b), report.grid):
+            assert grid.dtype == np.float64 and grid.tobytes() == expected.tobytes(), (a, b)
+        optim, pessim = float(expected.min()), float(expected.max())
+        assert (report.optim, report.pessim) == (optim, pessim), (a, b)
+        assert report.hurwicz == 0.3 * optim + 0.7 * pessim, (a, b)
+        mean = float(np.mean(report.grid))
+        assert abs(report.aver - mean) <= 1e-12 * mean, (a, b)
 
 
 @pytest.mark.parametrize("convention", list(PsmConvention))
