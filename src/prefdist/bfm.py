@@ -36,9 +36,10 @@ class Attitude(Enum):
 
 @dataclass(frozen=True, eq=False)
 class BfmReport:
-    """Squared completion-pair distances plus all four attitude scalars."""
+    """Squared completion-pair distances, their histogram, and all four attitude scalars."""
 
     squared: NDArray[np.unsignedinteger]
+    counts: NDArray[np.intp]  # counts[k]: cells holding k, for k up to the greatest
     maximum: float
     optim: float
     pessim: float
@@ -139,6 +140,7 @@ def bfm_distance(
     pessim = float(roots[-1] / maximum)
     return BfmReport(
         squared=squared,
+        counts=counts,
         maximum=maximum,
         optim=optim,
         pessim=pessim,

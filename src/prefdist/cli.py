@@ -26,12 +26,7 @@ from .belief import (
     load_bba_matrix,
 )
 from .bfm import Attitude, bfm_distance
-from .enumeration import (
-    DEFAULT_ENUMERATION_CAP,
-    _order_from_ranks,
-    compatible_tpos,
-    enumerate_weak_orders,
-)
+from .enumeration import DEFAULT_ENUMERATION_CAP, _completion_rows
 from .errors import (
     CapExceededError,
     DegenerateUniverseError,
@@ -43,6 +38,7 @@ from .model import (
     WeakOrder,
     parse_preference,
     render_preference,
+    render_ranks,
 )
 from .psm import PsmConvention, max_psm_distance
 
@@ -92,17 +88,20 @@ def _effective_cap(flag: int | None) -> int:
     return cap
 
 
-def _grid_rows(squared: NDArray[np.unsignedinteger], n: int, sep: str) -> Iterator[str]:
+def _grid_rows(
+    squared: NDArray[np.unsignedinteger], counts: NDArray[np.intp], n: int, sep: str
+) -> Iterator[str]:
     """Each row of the grid of cells sqrt(k) / max_psm_distance(n), where
-    ``squared`` holds the integers k, as ``repr`` renders the cells, joined by
-    ``sep``; for a finite float, ``json.dumps`` writes the same text.
+    ``squared`` holds the integers k and ``counts`` their histogram, as
+    ``repr`` renders the cells, joined by ``sep``; for a finite float,
+    ``json.dumps`` writes the same text.
 
     Each k present is rendered once.  A grid of more than 2m^2 cells, m the
     number of distinct k, is looked up two adjacent cells at a time, in a table
     of the pre-joined texts of every pair present; an odd last column is
     looked up alone.
     """
-    present = np.flatnonzero(np.bincount(squared.ravel()))
+    present = np.flatnonzero(counts)
     m = len(present)
     roots = np.sqrt(present.astype(np.float64)) / max_psm_distance(n)
     texts = np.array([repr(v) for v in roots.tolist()], dtype=object)
@@ -122,8 +121,9 @@ def _grid_rows(squared: NDArray[np.unsignedinteger], n: int, sep: str) -> Iterat
     return map(sep.join, cells.tolist())
 
 
-def _emit(payload: dict[str, Any], fmt: str) -> None:
-    """Print ``payload`` as one JSON object or as a table, writing a grid row by row."""
+def _emit(payload: dict[str, Any], fmt: str, counts: NDArray[np.intp] | None = None) -> None:
+    """Print ``payload`` as one JSON object or as a table, writing a grid row by
+    row; ``counts`` is the histogram of the grid's k, when it has one."""
     if fmt == "json":
         if "grid" not in payload:
             print(json.dumps(payload))
@@ -132,14 +132,15 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
         at = keys.index("grid")
         write = sys.stdout.write
         write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": ')
-        for i, row in enumerate(_grid_rows(payload["grid"], len(payload["objects"]), ", ")):
+        rows = _grid_rows(payload["grid"], counts, len(payload["objects"]), ", ")
+        for i, row in enumerate(rows):
             write((", [" if i else "[[") + row + "]")
         write("], " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
         return
     for key, value in payload.items():
         if key == "grid":
             print("grid:")
-            for row in _grid_rows(value, len(payload["objects"]), "  "):
+            for row in _grid_rows(value, counts, len(payload["objects"]), "  "):
                 print("  " + row)
         elif isinstance(value, float):
             print(f"{key}: {value!r}")
@@ -195,9 +196,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             alpha=report.alpha,
             n_ctpo=list(report.n_ctpo),
         )
+        _emit(payload, args.format, report.counts)
     else:
         payload.update(raw=report.raw, max=report.max, normalized=report.normalized)
-    _emit(payload, args.format)
+        _emit(payload, args.format)
     return 0
 
 
@@ -236,21 +238,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         universe = ObjectUniverse.numbered(args.n)
     else:
         raise _UsageError("--n", "required unless --objects is given")
-    count = 0
-    for order in enumerate_weak_orders(len(universe), cap=_effective_cap(args.cap)):
-        print(render_preference(order, universe))
-        count += 1
-    print(f"count: {count}")
+    ranks = _completion_rows((-1,) * len(universe), _effective_cap(args.cap))
+    _print_orders(ranks, universe)
+    print(f"count: {len(ranks)}")
     return 0
 
 
 def _cmd_compatible(args: argparse.Namespace) -> int:
     universe = _parse_objects(args.objects)
     ppo = _parse_pref(args.pref, universe, "--pref")
-    # row by row: ctpos would hold every completion as a WeakOrder before the first line
-    for ranks in compatible_tpos(ppo, cap=_effective_cap(args.cap)).ranks:
-        print(render_preference(_order_from_ranks(ranks.tolist()), universe))
+    _print_orders(_completion_rows(ppo.rank_tuple, _effective_cap(args.cap)), universe)
     return 0
+
+
+def _print_orders(ranks: NDArray[np.integer], universe: ObjectUniverse) -> None:
+    """Print the order of each row of ``ranks``, converting 4096 rows at a time."""
+    for start in range(0, len(ranks), 4096):
+        rows = ranks[start : start + 4096].tolist()
+        sys.stdout.write("".join(render_ranks(row, universe.labels) + "\n" for row in rows))
 
 
 @functools.cache

@@ -53,11 +53,10 @@ def _check_size(n: int, cap: int | None) -> None:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
 
 
-def _order_from_ranks(ranks: Sequence[int]) -> WeakOrder:
-    buckets: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for idx, rank in enumerate(ranks):
-        buckets[rank].append(idx)
-    return WeakOrder(tuple(tuple(bucket) for bucket in buckets), len(ranks))
+def _completion_rows(fixed: Sequence[int], cap: int | None) -> NDArray[np.signedinteger]:
+    """``_completions(fixed)``, once its universe size passes the enumeration cap."""
+    _check_size(len(fixed), cap)
+    return _completions(fixed)
 
 
 def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrder]:
@@ -69,7 +68,7 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     lexicographic order of their rank vectors.
     """
     _check_size(n, cap)
-    return map(_order_from_ranks, map(np.ndarray.tolist, _completions((-1,) * n)))
+    return map(WeakOrder.from_ranks, map(np.ndarray.tolist, _completions((-1,) * n)))
 
 
 def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
@@ -79,8 +78,8 @@ def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
     n = ppo.universe_size
     _check_size(n, cap)
     counts = [0] * (n + 1)  # counts[k]: rows with k classes
-    counts[len(ppo.classes)] = 1
-    for _ in range(n - len(ppo.mentioned)):
+    counts[max(ppo.rank_tuple, default=-1) + 1] = 1
+    for _ in range(ppo.rank_tuple.count(-1)):
         counts = [0] + [k * (counts[k] + counts[k - 1]) for k in range(1, n + 1)]
     return sum(counts)
 
@@ -99,7 +98,7 @@ class CompatibleSet:
 
     @cached_property
     def ctpos(self) -> tuple[WeakOrder, ...]:
-        return tuple(map(_order_from_ranks, self.ranks.tolist()))
+        return tuple(map(WeakOrder.from_ranks, self.ranks.tolist()))
 
     @property
     def count(self) -> int:
@@ -113,7 +112,6 @@ def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
     An order mentioning nothing is compatible with every total order; a total
     order only with itself.  Completions follow the enumeration order.
     """
-    _check_size(ppo.universe_size, cap)
-    ranks = _completions(ppo.rank_vector).astype(np.int64)
+    ranks = _completion_rows(ppo.rank_tuple, cap).astype(np.int64)
     ranks.flags.writeable = False
     return CompatibleSet(ppo, ranks)

@@ -1,9 +1,10 @@
 """Object universes, weak orderings with ties, and the preference-expression grammar.
 
 A :class:`WeakOrder` is an ordered sequence of disjoint tie-classes over a
-universe of N objects; earlier classes are strictly preferred.  An order that
-mentions every object is total, one that mentions fewer is partial, and any
-pair involving an unmentioned object compares as :data:`PairRelation.UNKNOWN`.
+universe of N objects, stored as the class position of each object; earlier
+classes are strictly preferred.  An order that mentions every object is
+total, one that mentions fewer is partial, and any pair involving an
+unmentioned object compares as :data:`PairRelation.UNKNOWN`.
 
 Text syntax (whitespace insignificant)::
 
@@ -17,12 +18,13 @@ so ``B > A > C`` is a strict chain, ``C > (A = B)`` ties A with B below C and
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
-from typing import Iterable
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,6 +51,7 @@ class PairRelation(Enum):
 
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -85,52 +88,68 @@ class ObjectUniverse:
             raise UnknownObjectError(f"unknown object {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeakOrder:
-    """Ordered disjoint tie-classes of object indices; earlier class wins.
+    """A weak order built from disjoint tie-classes, earlier classes winning.
 
-    ``classes`` is canonical: within each class indices are sorted ascending.
-    The class sequence itself is semantic and never reordered.  A value is
-    immutable and hashable once constructed.
+    It stores ``rank_tuple``: each object's class position (0 = most
+    preferred, -1 = unmentioned), dense in 0..m-1, so equal orders have
+    equal tuples.  :meth:`from_ranks` builds one from those positions.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    universe_size: int
+    rank_tuple: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
+    def __init__(self, classes: Iterable[Iterable[int]], universe_size: int) -> None:
+        if universe_size < 0:
             raise ValueError("universe_size must be non-negative")
-        canonical = tuple(tuple(sorted(group)) for group in self.classes)
-        object.__setattr__(self, "classes", canonical)
-        seen: set[int] = set()
-        for group in canonical:
+        ranks = [-1] * universe_size
+        for pos, group in enumerate(map(sorted, classes)):
             if not group:
                 raise ValueError("tie-classes must be non-empty")
             for idx in group:
-                if not 0 <= idx < self.universe_size:
-                    raise IndexOutOfRangeError(
-                        f"object index {idx} outside [0, {self.universe_size})"
-                    )
-                if idx in seen:
+                if not 0 <= idx < universe_size:
+                    raise IndexOutOfRangeError(f"object index {idx} outside [0, {universe_size})")
+                if ranks[idx] >= 0:
                     raise DuplicateObjectError(f"object index {idx} appears twice")
-                seen.add(idx)
+                ranks[idx] = pos
+        object.__setattr__(self, "rank_tuple", tuple(ranks))
+
+    @classmethod
+    def from_ranks(cls, ranks: Sequence[int]) -> "WeakOrder":
+        """The order whose object i has rank ``ranks[i]`` (-1 = unmentioned); the
+        ranks must be integers that are -1 or fill 0..m-1 without a gap."""
+        try:
+            values = tuple(map(operator.index, ranks))
+            dense = {-1, *values} == set(range(-1, max(values, default=-1) + 1))
+        except TypeError:
+            dense = False
+        if not dense:
+            raise ValueError(f"rank vector {ranks!r} must hold integers that are -1 or fill 0..m-1")
+        order = object.__new__(cls)
+        object.__setattr__(order, "rank_tuple", values)
+        return order
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.rank_tuple)
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The tie-classes in preference order, each holding ascending indices."""
+        return tuple(map(tuple, _tie_classes(self.rank_tuple, range(self.universe_size))))
 
     @property
     def mentioned(self) -> frozenset[int]:
-        return frozenset(idx for group in self.classes for idx in group)
+        return frozenset(idx for idx, rank in enumerate(self.rank_tuple) if rank >= 0)
 
     @property
     def is_total(self) -> bool:
-        return len(self.mentioned) == self.universe_size
+        return -1 not in self.rank_tuple
 
     @cached_property
     def rank_vector(self) -> NDArray[np.int64]:
-        """Read-only class position of each object (0 = most preferred, -1 = unmentioned)."""
-        ranks = [-1] * self.universe_size
-        for pos, group in enumerate(self.classes):
-            for idx in group:
-                ranks[idx] = pos
-        vector = np.array(ranks, dtype=np.int64)
+        """Read-only int64 copy of ``rank_tuple``."""
+        vector = np.array(self.rank_tuple, dtype=np.int64)
         vector.flags.writeable = False
         return vector
 
@@ -145,7 +164,7 @@ class WeakOrder:
 
     def ranks(self) -> dict[int, int]:
         """Class position of every mentioned index (0 = most preferred)."""
-        return {idx: pos for idx, pos in enumerate(self.rank_vector.tolist()) if pos >= 0}
+        return {idx: pos for idx, pos in enumerate(self.rank_tuple) if pos >= 0}
 
     def relation(self, i: int, j: int) -> PairRelation:
         """Compare objects i and j; UNKNOWN when either is unmentioned (i != j)."""
@@ -156,7 +175,7 @@ class WeakOrder:
                 )
         if i == j:
             return PairRelation.EQUIV
-        ri, rj = self.rank_vector[i], self.rank_vector[j]
+        ri, rj = self.rank_tuple[i], self.rank_tuple[j]
         if ri < 0 or rj < 0:
             return PairRelation.UNKNOWN
         if ri == rj:
@@ -165,7 +184,8 @@ class WeakOrder:
 
     def reverse(self) -> "WeakOrder":
         """Same tie-classes in the opposite sequence."""
-        return WeakOrder(tuple(reversed(self.classes)), self.universe_size)
+        last = max(self.rank_tuple, default=-1)
+        return WeakOrder.from_ranks([last - r if r >= 0 else -1 for r in self.rank_tuple])
 
     def restrict(self, subset: Iterable[int]) -> "WeakOrder":
         """Drop every index outside ``subset``, preserving the class sequence.
@@ -179,12 +199,20 @@ class WeakOrder:
             raise SubsetNotMentionedError(
                 f"indices not mentioned by the ordering: {sorted(extra)}"
             )
-        groups = []
-        for group in self.classes:
-            kept = tuple(idx for idx in group if idx in keep)
-            if kept:
-                groups.append(kept)
-        return WeakOrder(tuple(groups), self.universe_size)
+        dense = {r: k for k, r in enumerate(sorted({self.rank_tuple[idx] for idx in keep}))}
+        return WeakOrder.from_ranks(
+            [dense[r] if idx in keep else -1 for idx, r in enumerate(self.rank_tuple)]
+        )
+
+
+def _tie_classes(ranks: Sequence[int], items: Sequence[_T]) -> list[list[_T]]:
+    """``items[i]`` of each object i ranked by ``ranks``, one list per tie-class,
+    classes in preference order and each in object order."""
+    classes: list[list[_T]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for rank, item in zip(ranks, items):
+        if rank >= 0:
+            classes[rank].append(item)
+    return classes
 
 
 def common_size(n1: int, n2: int) -> int:
@@ -198,7 +226,7 @@ def common_size(n1: int, n2: int) -> int:
 
 def chain_order(n: int) -> WeakOrder:
     """The strict chain: object 0 over object 1 over ... over object n-1."""
-    return WeakOrder(tuple((i,) for i in range(n)), n)
+    return WeakOrder.from_ranks(range(n))
 
 
 def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
@@ -221,14 +249,15 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
         groups.append(members)
 
     seen: set[str] = set()
-    indexed: list[tuple[int, ...]] = []
-    for members in groups:
+    ranks = [-1] * len(universe)
+    for pos, members in enumerate(groups):
         for label in members:
             if label in seen:
                 raise DuplicateObjectError(f"object {label!r} mentioned twice")
             seen.add(label)
-        indexed.append(tuple(universe.index(label) for label in members))
-    return WeakOrder(tuple(indexed), len(universe))
+        for label in members:
+            ranks[universe.index(label)] = pos
+    return WeakOrder.from_ranks(ranks)
 
 
 def render_preference(order: WeakOrder, universe: ObjectUniverse) -> str:
@@ -241,8 +270,14 @@ def render_preference(order: WeakOrder, universe: ObjectUniverse) -> str:
         raise DimensionMismatchError(
             f"ordering over {order.universe_size} objects, universe has {len(universe)}"
         )
-    parts = []
-    for group in order.classes:
-        labels = [universe.labels[idx] for idx in group]
-        parts.append(labels[0] if len(labels) == 1 else "(" + " = ".join(labels) + ")")
-    return " > ".join(parts)
+    return render_ranks(order.rank_tuple, universe.labels)
+
+
+def render_ranks(ranks: Sequence[int], labels: Sequence[str]) -> str:
+    """Canonical text of the order whose object i has rank ``ranks[i]``, named
+    ``labels[i]``; -1 marks an unmentioned object."""
+    texts = [
+        names[0] if len(names) == 1 else "(" + " = ".join(names) + ")"
+        for names in _tie_classes(ranks, labels)
+    ]
+    return " > ".join(texts)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefdist
-from prefdist import ObjectUniverse, enumerate_weak_orders, render_preference
+from prefdist import ObjectUniverse, WeakOrder, cli, enumerate_weak_orders, render_preference
 from prefdist.cli import main
 from prefdist.enumeration import CompatibleSet
 
@@ -459,6 +459,21 @@ class TestCompatibleCommand:
         universe = ObjectUniverse(tuple("ABCD"))
         expected = [render_preference(order, universe) for order in enumerate_weak_orders(4)]
         assert out.splitlines() == expected  # C alone: every weak order of four objects
+
+    @pytest.mark.parametrize(
+        "argv", [("compatible", "--objects", "A,B,C,D", "--pref", "C"), ("enumerate", "--n", "4")]
+    )
+    def test_listings_build_no_weak_order(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        parsed = WeakOrder(((2,),), 4)
+        monkeypatch.setattr(cli, "_parse_pref", lambda *args: parsed)
+
+        def refuse(*args):
+            raise AssertionError("a listing built a WeakOrder")
+
+        monkeypatch.setattr(WeakOrder, "__init__", refuse)
+        monkeypatch.setattr(WeakOrder, "from_ranks", classmethod(refuse))
+        assert run(capsys, *argv) == expected
 
     def test_parse_error_names_the_field(self, capsys):
         code, _, err = run(capsys, "compatible", "--objects", "A,B,C", "--pref", "C >")

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -36,6 +37,7 @@ from prefdist import (
     BbaMetric,
     DuplicateObjectError,
     EmptyExpressionError,
+    IndexOutOfRangeError,
     MassFunction,
     ObjectUniverse,
     PairRelation,
@@ -43,6 +45,7 @@ from prefdist import (
     PreferenceSyntaxError,
     PrefdistError,
     PsmConvention,
+    SubsetNotMentionedError,
     UnnormalizedMassError,
     WeakOrder,
     bba_from_relation,
@@ -66,6 +69,8 @@ from prefdist import (
     render_preference,
 )
 from prefdist import cli
+from prefdist.enumeration import _completions
+from prefdist.model import render_ranks
 from prefdist.psm import score_rows
 
 from strategies import all_partial_orders, preference_texts, weak_orders
@@ -304,6 +309,102 @@ def reference_grid_rows(squared, n, sep):
     return [sep.join(repr(math.sqrt(k) / maximum) for k in row) for row in squared.tolist()]
 
 
+@dataclass(frozen=True)
+class ReferenceWeakOrder:
+    """Ordered disjoint tie-classes of object indices; earlier class wins.
+
+    ``classes`` is canonical: within each class indices are sorted ascending.
+    The class sequence itself is semantic and never reordered.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    universe_size: int
+
+    def __post_init__(self) -> None:
+        if self.universe_size < 0:
+            raise ValueError("universe_size must be non-negative")
+        canonical = tuple(tuple(sorted(group)) for group in self.classes)
+        object.__setattr__(self, "classes", canonical)
+        seen: set[int] = set()
+        for group in canonical:
+            if not group:
+                raise ValueError("tie-classes must be non-empty")
+            for idx in group:
+                if not 0 <= idx < self.universe_size:
+                    raise IndexOutOfRangeError(
+                        f"object index {idx} outside [0, {self.universe_size})"
+                    )
+                if idx in seen:
+                    raise DuplicateObjectError(f"object index {idx} appears twice")
+                seen.add(idx)
+
+    @property
+    def mentioned(self) -> frozenset[int]:
+        return frozenset(idx for group in self.classes for idx in group)
+
+    @property
+    def is_total(self) -> bool:
+        return len(self.mentioned) == self.universe_size
+
+    @functools.cached_property
+    def rank_vector(self):
+        ranks = [-1] * self.universe_size
+        for pos, group in enumerate(self.classes):
+            for idx in group:
+                ranks[idx] = pos
+        vector = np.array(ranks, dtype=np.int64)
+        vector.flags.writeable = False
+        return vector
+
+    def relation(self, i: int, j: int) -> PairRelation:
+        for idx in (i, j):
+            if not 0 <= idx < self.universe_size:
+                raise IndexOutOfRangeError(
+                    f"object index {idx} outside [0, {self.universe_size})"
+                )
+        if i == j:
+            return PairRelation.EQUIV
+        ri, rj = self.rank_vector[i], self.rank_vector[j]
+        if ri < 0 or rj < 0:
+            return PairRelation.UNKNOWN
+        if ri == rj:
+            return PairRelation.EQUIV
+        return PairRelation.SUCC if ri < rj else PairRelation.PREC
+
+    def reverse(self) -> "ReferenceWeakOrder":
+        return ReferenceWeakOrder(tuple(reversed(self.classes)), self.universe_size)
+
+    def restrict(self, subset) -> "ReferenceWeakOrder":
+        keep = frozenset(subset)
+        extra = keep - self.mentioned
+        if extra:
+            raise SubsetNotMentionedError(
+                f"indices not mentioned by the ordering: {sorted(extra)}"
+            )
+        groups = []
+        for group in self.classes:
+            kept = tuple(idx for idx in group if idx in keep)
+            if kept:
+                groups.append(kept)
+        return ReferenceWeakOrder(tuple(groups), self.universe_size)
+
+
+def reference_render_preference(order: ReferenceWeakOrder, universe: ObjectUniverse) -> str:
+    parts = []
+    for group in order.classes:
+        labels = [universe.labels[idx] for idx in group]
+        parts.append(labels[0] if len(labels) == 1 else "(" + " = ".join(labels) + ")")
+    return " > ".join(parts)
+
+
+def reference_order_of_ranks(ranks) -> ReferenceWeakOrder:
+    buckets: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for idx, rank in enumerate(ranks):
+        if rank >= 0:
+            buckets[rank].append(idx)
+    return ReferenceWeakOrder(tuple(map(tuple, buckets)), len(ranks))
+
+
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[>=()]")
 _SYMBOLS = {">", "=", "(", ")"}
 
@@ -379,7 +480,7 @@ def reference_parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder
     return WeakOrder(tuple(indexed), len(universe))
 
 
-def reference_emit(payload, fmt):
+def reference_emit(payload, fmt, counts=None):  # renders every cell; needs no histogram
     if "grid" in payload:  # the payload carries the squared distances k
         maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
         grid = [[math.sqrt(k) / maximum for k in row] for row in payload["grid"].tolist()]
@@ -707,6 +808,69 @@ class TestBruteForce:
             assert np.array_equal(bfm_grid(a, b), reference_bfm_grid(a, b, convention))
 
 
+@st.composite
+def reference_orders(draw, n):
+    """A possibly partial order over n objects, each class listed in a drawn order."""
+    ranks = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    classes = [
+        draw(st.permutations([idx for idx, rank in enumerate(ranks) if rank == level]))
+        for level in sorted(set(ranks) - {-1})
+    ]
+    return ReferenceWeakOrder(tuple(map(tuple, classes)), n)
+
+
+class TestWeakOrderModel:
+    """The rank-tuple ``WeakOrder`` against the tie-class tuples it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_tie_class_tuples(self, data):
+        n = data.draw(st.integers(1, 8))
+        ref = data.draw(reference_orders(n))
+        order = WeakOrder(ref.classes, n)
+        assert order == WeakOrder.from_ranks(ref.rank_vector.tolist())
+        assert (order.universe_size, order.classes) == (n, ref.classes)
+        vector = order.rank_vector
+        assert vector.dtype == np.int64 and not vector.flags.writeable
+        assert vector.tolist() == ref.rank_vector.tolist()
+        assert (order.mentioned, order.is_total) == (ref.mentioned, ref.is_total)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert order.relation(i, j) is ref.relation(i, j)
+        assert order.reverse().classes == ref.reverse().classes
+        subset = data.draw(st.sets(st.sampled_from(sorted(ref.mentioned or {0}))))
+        subset &= ref.mentioned
+        assert order.restrict(subset).classes == ref.restrict(subset).classes
+        universe = ObjectUniverse.numbered(n)
+        assert render_preference(order, universe) == reference_render_preference(ref, universe)
+
+        other = data.draw(
+            st.sampled_from([ref, ref.reverse(), ref.restrict(subset)]) | reference_orders(n)
+        )
+        other_order = WeakOrder(other.classes, n)
+        assert (order == other_order) is (ref == other)
+        if ref == other:
+            assert hash(order) == hash(other_order)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_completion_row_renders_like_the_tie_class_tuples(self, n):
+        universe = ObjectUniverse.numbered(n)
+        objects = ",".join(universe.labels)
+        for order in all_partial_orders(n):
+            rows = _completions(order.rank_tuple).tolist()
+            expected = [
+                reference_render_preference(reference_order_of_ranks(row), universe)
+                for row in rows
+            ]
+            assert [render_ranks(row, universe.labels) for row in rows] == expected, order
+            if order.mentioned:
+                pref = render_preference(order, universe)
+                argv = ["compatible", "--objects", objects, "--pref", pref]
+            else:  # the empty order has no text form; its completions are every weak order
+                argv = ["enumerate", "--objects", objects]
+                expected.append(f"count: {len(rows)}")
+            assert cli_stdout(argv) == "".join(line + "\n" for line in expected), order
+
+
 @pytest.mark.parametrize("convention", list(PsmConvention))
 @pytest.mark.parametrize("n", range(2, 6))
 def test_grid_writer_table_reproduces_every_cell(n, convention):
@@ -716,7 +880,7 @@ def test_grid_writer_table_reproduces_every_cell(n, convention):
     grid = reference_bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
     report = bfm_distance(WeakOrder((), n), WeakOrder((), n))
     assert np.array_equal(report.grid, grid)
-    rows = list(cli._grid_rows(report.squared, n, " "))
+    rows = list(cli._grid_rows(report.squared, report.counts, n, " "))
     assert rows == [" ".join(map(repr, row)) for row in grid.tolist()]
 
 
@@ -743,8 +907,9 @@ def test_grid_writer_shapes_and_gate_sides(name, sep):
     squared = np.array(WRITER_GRIDS[name], dtype=np.uint8)
     m = len(np.unique(squared))
     assert (squared.size > 2 * m * m) == name.endswith("_pairs")
-    assert list(cli._grid_rows(squared.T, 3, sep)) == reference_grid_rows(squared.T, 3, sep)
-    assert list(cli._grid_rows(squared, 3, sep)) == reference_grid_rows(squared, 3, sep)
+    counts = np.bincount(squared.ravel())
+    assert list(cli._grid_rows(squared.T, counts, 3, sep)) == reference_grid_rows(squared.T, 3, sep)
+    assert list(cli._grid_rows(squared, counts, 3, sep)) == reference_grid_rows(squared, 3, sep)
 
 
 PAIRS_UP_TO_FOUR = [

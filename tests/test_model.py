@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from prefdist import (
@@ -79,6 +81,22 @@ class TestWeakOrderConstruction:
         order = WeakOrder((), 3)
         assert order.mentioned == frozenset()
         assert not order.is_total
+
+
+class TestFromRanks:
+    def test_ranks_give_the_classes(self):
+        order = WeakOrder.from_ranks((1, -1, 0, 1))
+        assert order == WeakOrder(((2,), (0, 3)), 4)
+        assert order.rank_tuple == (1, -1, 0, 1)
+
+    @pytest.mark.parametrize("ranks", [(), (-1, -1)])
+    def test_no_mentioned_object_gives_the_empty_order(self, ranks):
+        assert WeakOrder.from_ranks(ranks) == WeakOrder((), len(ranks))
+
+    @pytest.mark.parametrize("ranks", [(0, 2), (-2, 0), (1,), (0, 0.5), (0, "1")])
+    def test_bad_ranks_are_named(self, ranks):
+        with pytest.raises(ValueError, match=re.escape(repr(ranks))):
+            WeakOrder.from_ranks(ranks)
 
 
 class TestParse:
