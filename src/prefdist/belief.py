@@ -34,6 +34,7 @@ from .errors import (
     UnnormalizedMassError,
 )
 from .model import PairRelation, WeakOrder, common_size
+from .psm import category_distance, max_distance, pair_cost
 
 ATOM_SUCC = 0b001
 ATOM_EQUIV = 0b010
@@ -162,21 +163,17 @@ class MassFunction:
         return MassFunction(tuple(self.masses[k] for k in _SWAPPED_MASK))
 
 
-_RELATION_MASK = {
-    PairRelation.SUCC: ATOM_SUCC,
-    PairRelation.EQUIV: ATOM_EQUIV,
-    PairRelation.PREC: ATOM_PREC,
-    PairRelation.UNKNOWN: FULL_FRAME,
-}
+#: The subset of each relation code (see WeakOrder.relation_codes): its state, or the whole frame.
+_CODE_MASK = (ATOM_SUCC, ATOM_EQUIV, ATOM_PREC, FULL_FRAME)
 
 
 def bba_from_relation(relation: PairRelation) -> MassFunction:
     """Certain mass on the matching state; vacuous for an unknown comparison."""
-    return MassFunction.certain(_RELATION_MASK[relation])
+    return MassFunction.certain(_CODE_MASK[list(PairRelation).index(relation)])
 
 
-#: The mass function of each relation code (see WeakOrder.relation_codes).
-_CODE_MASS = tuple(bba_from_relation(relation) for relation in PairRelation)
+#: The mass function of each relation code.
+_CODE_MASS = tuple(map(MassFunction.certain, _CODE_MASK))
 _CODE_MASSES = np.array(_CODE_MASS)
 
 
@@ -281,6 +278,7 @@ _METRIC_FN = {
     BbaMetric.BELIEF_INTERVAL: belief_interval_distance,
 }
 
+#: The ``dist`` method name of each metric.
 _METRIC_METHOD_NAME = {
     BbaMetric.JOUSSELME: "indirect-j",
     BbaMetric.BELIEF_INTERVAL: "indirect-bi",
@@ -297,8 +295,8 @@ _CODE_SCORE = {
 }
 
 #: Squared distance between two cells by relation codes: of the masses, of the indirect scores.
-_DIRECT_COST = np.square(_CODE_MASSES[:, None] - _CODE_MASSES).sum(axis=-1)
-_INDIRECT_COST = {metric: np.square(s[:, None] - s) for metric, s in _CODE_SCORE.items()}
+_DIRECT_COST = pair_cost(_CODE_MASSES)
+_INDIRECT_COST = {metric: pair_cost(score) for metric, score in _CODE_SCORE.items()}
 
 
 @dataclass(frozen=True)
@@ -312,19 +310,8 @@ class DistanceReport:
 
 
 def _report(method: str, raw: float, n: int, cost: NDArray[np.float64]) -> DistanceReport:
-    # The chain and its reversal meet as SUCC (code 0) against PREC (code 2) off the diagonal.
-    maximum = math.sqrt(n * (n - 1) * float(cost[0, 2]))
+    maximum = max_distance(n, cost)
     return DistanceReport(method, raw, maximum, raw / maximum)
-
-
-def _category_distance(
-    method: str, ppo1: WeakOrder, ppo2: WeakOrder, cost: NDArray[np.float64]
-) -> DistanceReport:
-    """Root of the summed ``cost`` of the cells, counted by pair of relation codes."""
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    counts = np.bincount((4 * ppo1.relation_codes() + ppo2.relation_codes()).ravel(), minlength=16)
-    counts = counts.reshape(4, 4) + counts.reshape(4, 4).T  # swapped operands give the same bits
-    return _report(method, math.sqrt(float((counts * cost).sum()) / 2), n, cost)
 
 
 def direct_distance(ppo1: WeakOrder, ppo2: WeakOrder) -> DistanceReport:
@@ -333,7 +320,8 @@ def direct_distance(ppo1: WeakOrder, ppo2: WeakOrder) -> DistanceReport:
     No enumeration is involved: cost is quadratic in the number of objects.
     Normalization divides by the chain-vs-reversed-chain distance.
     """
-    return _category_distance("direct", ppo1, ppo2, _DIRECT_COST)
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
+    return _report("direct", category_distance(ppo1, ppo2, _DIRECT_COST), n, _DIRECT_COST)
 
 
 def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
@@ -369,7 +357,9 @@ def indirect_distance(
     method: the N x N matrix keeps only each cell's distance to the
     reference, not the cell itself.
     """
-    return _category_distance(_METRIC_METHOD_NAME[metric], ppo1, ppo2, _INDIRECT_COST[metric])
+    n = common_size(ppo1.universe_size, ppo2.universe_size)
+    cost = _INDIRECT_COST[metric]
+    return _report(_METRIC_METHOD_NAME[metric], category_distance(ppo1, ppo2, cost), n, cost)
 
 
 _FOCAL_KEY_TO_MASK = {

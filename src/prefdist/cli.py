@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .belief import (
-    BbaMetric,
+    _METRIC_METHOD_NAME,
     direct_distance,
     direct_distance_general,
     indirect_distance,
@@ -45,10 +45,7 @@ from .psm import PsmConvention, max_psm_distance
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_METRICS = {
-    "indirect-j": BbaMetric.JOUSSELME,
-    "indirect-bi": BbaMetric.BELIEF_INTERVAL,
-}
+_METRICS = {name: metric for metric, name in _METRIC_METHOD_NAME.items()}
 
 
 class _UsageError(PrefdistError):
@@ -274,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--pref2", required=True)
     dist.add_argument(
         "--method",
-        choices=["bfm", "direct", "indirect-j", "indirect-bi"],
+        choices=["bfm", "direct", *_METRICS],
         default="direct",
         help="bfm = exhaustive completion pairs; direct = mass-grid distance; "
         "indirect-* = score-alike matrices (default: direct)",

@@ -1,4 +1,9 @@
-"""Preference-score matrices and the normalized Frobenius distance between total orders."""
+"""Preference-score matrices, and the pair-category rule of every order-based distance.
+
+A cell of a score matrix, a direct mass grid or an indirect score matrix is a
+lookup on its pair's relation code (see :meth:`WeakOrder.relation_codes`), so
+each distance counts the cells per pair of codes and weighs them by a cost table.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +14,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import (
-    ConventionMismatchError,
-    DegenerateUniverseError,
-    DimensionMismatchError,
-    NotTotalError,
-)
+from .errors import ConventionMismatchError, DimensionMismatchError, NotTotalError
 from .model import WeakOrder, common_size
 
 
@@ -33,15 +33,38 @@ class PreferenceScoreMatrix:
     convention: PsmConvention
 
 
-def score_rows(ranks: NDArray[np.int64]) -> NDArray[np.float64]:
-    """Flattened signed score matrices of total orders given as a (P, n) rank array.
+def pair_cost(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Squared distance of every two codes' values, summed over any trailing axis."""
+    return np.atleast_3d(np.square(values[:, None] - values)).sum(axis=-1)
 
-    Row p is the score matrix of the order with rank vector ``ranks[p]``,
-    raveled to length n*n.
-    """
-    rows, n = ranks.shape
-    signed = np.sign(ranks[:, None, :] - ranks[:, :, None])  # +1 where row outranks column
-    return signed.astype(np.float64).reshape(rows, n * n)
+
+def category_distance(order1: WeakOrder, order2: WeakOrder, cost: NDArray[np.float64]) -> float:
+    """Root of the summed ``cost`` of the cells, counted by pair of relation codes;
+    ``cost`` must cover every code that the two orders give."""
+    k = len(cost)
+    codes = k * order1.relation_codes() + order2.relation_codes()
+    counts = np.bincount(codes.ravel(), minlength=k * k).reshape(k, k)
+    counts = counts + counts.T  # swapped operands give the same bits
+    return math.sqrt(float((counts * cost).sum()) / 2)
+
+
+def max_distance(n: int, cost: NDArray[np.float64]) -> float:
+    """Distance between the strict chain over n objects and its reversal under
+    ``cost``: their n(n-1) off-diagonal cells meet as SUCC (code 0) against PREC (code 2)."""
+    return math.sqrt(n * (n - 1) * float(cost[0, 2]))
+
+
+#: Per convention, the score of the codes SUCC, EQUIV and PREC; a total order has no UNKNOWN.
+_CODE_SCORE = {
+    PsmConvention.SIGNED: np.array([1.0, 0.0, -1.0]),
+    PsmConvention.UNIT: np.array([1.0, 0.5, 0.0]),
+}
+_COST = {convention: pair_cost(score) for convention, score in _CODE_SCORE.items()}
+
+
+def _check_total(*orders: WeakOrder) -> None:
+    if not all(order.is_total for order in orders):
+        raise NotTotalError("ordering does not mention every object in the universe")
 
 
 def build_psm(
@@ -52,13 +75,8 @@ def build_psm(
     Raises NotTotalError when the order leaves any object unmentioned: a
     partial order has no well-defined score for the missing pairs.
     """
-    if not tpo.is_total:
-        raise NotTotalError("ordering does not mention every object in the universe")
-    n = tpo.universe_size
-    entries = score_rows(tpo.rank_vector[None, :]).reshape(n, n)
-    if convention is PsmConvention.UNIT:
-        entries = (entries + 1.0) / 2.0
-    return PreferenceScoreMatrix(entries, convention)
+    _check_total(tpo)
+    return PreferenceScoreMatrix(_CODE_SCORE[convention][tpo.relation_codes()], convention)
 
 
 def frobenius_distance(
@@ -77,17 +95,10 @@ def frobenius_distance(
 
 
 def max_psm_distance(n: int, convention: PsmConvention = PsmConvention.SIGNED) -> float:
-    """Distance between the strict chain over n objects and its reversal.
-
-    This is the normalization constant: the two orders are in full
-    contradiction.  Every off-diagonal entry differs by 2 (signed) or 1
-    (unit), so it is 2*sqrt(n(n-1)) or sqrt(n(n-1)), exactly as computed.
-    """
-    if n < 2:
-        raise DegenerateUniverseError(
-            f"maximal distance needs at least two objects, got {n}"
-        )
-    return math.sqrt(n * (n - 1)) * (2 if convention is PsmConvention.SIGNED else 1)
+    """Distance between the score matrices of the strict chain over n objects
+    and of its reversal: the normalization constant, 2*sqrt(n(n-1)) signed or
+    sqrt(n(n-1)) unit.  Raises DegenerateUniverseError below two objects."""
+    return max_distance(common_size(n, n), _COST[convention])
 
 
 def normalized_distance(
@@ -95,11 +106,12 @@ def normalized_distance(
     tpo2: WeakOrder,
     convention: PsmConvention = PsmConvention.SIGNED,
 ) -> float:
-    """Frobenius distance between two total orders, scaled into [0, 1].
+    """Frobenius distance between the score matrices of two total orders, scaled into [0, 1].
 
     The value is the same under both conventions: unit-convention matrices
     are an affine rescaling of signed ones, and the normalization cancels it.
     """
     n = common_size(tpo1.universe_size, tpo2.universe_size)
-    raw = frobenius_distance(build_psm(tpo1, convention), build_psm(tpo2, convention))
-    return raw / max_psm_distance(n, convention)
+    _check_total(tpo1, tpo2)
+    cost = _COST[convention]
+    return category_distance(tpo1, tpo2, cost) / max_distance(n, cost)

@@ -35,10 +35,12 @@ from prefdist import (
     BbaFormatError,
     BbaMatrix,
     BbaMetric,
+    DimensionMismatchError,
     DuplicateObjectError,
     EmptyExpressionError,
     IndexOutOfRangeError,
     MassFunction,
+    NotTotalError,
     ObjectUniverse,
     PairRelation,
     PreferenceScoreMatrix,
@@ -65,13 +67,15 @@ from prefdist import (
     jousselme_distance,
     load_bba_matrix,
     max_psm_distance,
+    normalized_distance,
     parse_preference,
     render_preference,
 )
 from prefdist import cli
+from prefdist.belief import _DIRECT_COST
 from prefdist.enumeration import _completions
 from prefdist.model import render_ranks
-from prefdist.psm import score_rows
+from prefdist.psm import _COST
 
 from strategies import all_partial_orders, preference_texts, weak_orders
 
@@ -291,7 +295,10 @@ def reference_bfm_grid(ppo1, ppo2, convention):
 
 @functools.cache
 def float_score_rows(order):
-    return score_rows(compatible_tpos(order).ranks)
+    """The flattened signed score matrix of each completion of ``order``."""
+    ranks = compatible_tpos(order).ranks
+    signed = np.sign(ranks[:, None, :] - ranks[:, :, None])  # +1 where row outranks column
+    return signed.astype(np.float64).reshape(len(ranks), -1)
 
 
 def float_gram_grid(ppo1, ppo2):
@@ -530,12 +537,12 @@ def assert_completions_match_reference(order):
 
 
 @st.composite
-def order_pairs(draw, max_n=MAX_N):
-    """Two possibly partial orders over one universe of 2..MAX_N objects."""
+def order_pairs(draw, max_n=MAX_N, total=False):
+    """Two orders over one universe of 2..max_n objects, possibly partial unless ``total``."""
     n = draw(st.integers(2, max_n))
     return (
-        draw(weak_orders(min_n=n, max_n=n)),
-        draw(weak_orders(min_n=n, max_n=n)),
+        draw(weak_orders(min_n=n, max_n=n, total=total)),
+        draw(weak_orders(min_n=n, max_n=n, total=total)),
     )
 
 
@@ -611,9 +618,13 @@ def _apply_fault(draw, document, cells, fault):
 def bba_documents(draw, n=None, faults=st.sampled_from(FAULTS), count=st.integers(0, 2)):
     """A mass-grid document of 1..12 objects, mostly 1..4, with ``count``
     faults drawn from ``faults``; a fault in a large grid lands deep in the
-    flattened cells."""
+    flattened cells.  The cells are copies of up to eight drawn valid cells,
+    placed by one drawn index list, so that a 12 x 12 grid is quick to draw;
+    they are copies because a fault edits its cell in place."""
     n = n or draw(st.one_of(st.integers(1, 4), st.integers(5, 12)))
-    cells = [[draw(valid_cells()) for _ in range(n)] for _ in range(n)]
+    palette = draw(st.lists(valid_cells(), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(palette) - 1), min_size=n * n, max_size=n * n))
+    cells = [[dict(palette[k]) for k in picks[i * n : (i + 1) * n]] for i in range(n)]
     document = {"n": n, "cells": cells}
     for _ in range(draw(count)):
         _apply_fault(draw, document, cells, draw(faults))
@@ -947,6 +958,52 @@ def test_build_psm_is_bitwise_the_per_order_construction(n, convention):
         expected = reference_build_psm(order, convention).entries
         assert entries.dtype == expected.dtype and entries.shape == expected.shape
         assert entries.tobytes() == expected.tobytes(), order
+
+
+TOTAL_PAIRS_UP_TO_FOUR = [
+    pair for n in (2, 3, 4) for pair in itertools.product(enumerate_weak_orders(n), repeat=2)
+]
+
+
+def reference_normalized_distance(a, b, convention):
+    raw = frobenius_distance(reference_build_psm(a, convention), reference_build_psm(b, convention))
+    return raw / reference_max_psm_distance(a.universe_size, convention)
+
+
+class TestClassicalDistance:
+    """The classical distance, a count of relation-code pairs, against score
+    matrices built per order and their Frobenius norm."""
+
+    @pytest.mark.parametrize("convention", list(PsmConvention))
+    def test_every_pair_of_total_orders_up_to_four(self, convention):
+        for a, b in TOTAL_PAIRS_UP_TO_FOUR:
+            expected = reference_normalized_distance(a, b, convention)
+            assert normalized_distance(a, b, convention) == expected, (a, b)
+
+    @given(pair=order_pairs(max_n=8, total=True), convention=st.sampled_from(list(PsmConvention)))
+    def test_random_pairs_up_to_eight_objects(self, pair, convention):
+        expected = reference_normalized_distance(*pair, convention)
+        assert normalized_distance(*pair, convention) == expected
+
+    def test_cost_tables_hold_their_hand_values(self):
+        assert np.array_equal(_DIRECT_COST, 2 * (1 - np.eye(4)))
+        signed = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+        assert np.array_equal(_COST[PsmConvention.SIGNED], signed)
+        assert np.array_equal(_COST[PsmConvention.UNIT], signed / 4)
+
+    @pytest.mark.parametrize("convention", list(PsmConvention))
+    def test_a_partial_operand_is_rejected(self, convention):
+        total = chain_order(3)
+        for partial in all_partial_orders(3):
+            if not partial.is_total:
+                for pair in ((partial, total), (total, partial)):
+                    with pytest.raises(NotTotalError):
+                        normalized_distance(*pair, convention)
+
+    def test_a_size_mismatch_is_named_before_a_partial_operand(self):
+        for a, b in itertools.permutations([WeakOrder([[0]], 3), chain_order(4)]):
+            with pytest.raises(DimensionMismatchError):
+                normalized_distance(a, b)
 
 
 class TestCliOutput:

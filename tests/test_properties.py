@@ -283,6 +283,22 @@ class TestBruteForceSymmetry:
             assert forward.pessim == pytest.approx(backward.pessim)
 
 
+def agree_on_overlap(a, b):
+    """Whether ``a`` and ``b`` relate alike every pair of objects that both mention."""
+    codes_a, codes_b = a.relation_codes(), b.relation_codes()
+    known = (codes_a != 3) & (codes_b != 3)  # 3 is UNKNOWN
+    return bool(np.array_equal(codes_a[known], codes_b[known]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bfm_optim_is_zero_exactly_when_the_orders_agree_on_their_overlap(n):
+    """Weak orders that agree on the objects both mention share a completion,
+    and orders that disagree on a pair share none."""
+    orders = all_partial_orders(n)[1:]  # every non-empty partial order
+    for a, b in itertools.product(orders, repeat=2):
+        assert (bfm_distance(a, b).optim == 0.0) == agree_on_overlap(a, b), (a, b)
+
+
 class TestPsmStructure:
     @given(weak_orders(min_n=2, max_n=5, total=True))
     def test_signed_matrix_antisymmetric(self, order):
