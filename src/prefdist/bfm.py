@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -23,6 +24,10 @@ from .psm import max_psm_distance
 
 #: Most cells a grid may have: every pair of weak orders of 6 objects.
 GRID_CELL_LIMIT = 4683**2
+
+# Cells per block in which the histogram and the grid writer (in whole rows)
+# read a grid, so neither holds a grid-sized temporary array
+_BLOCK_CELLS = 16384
 
 
 class Attitude(Enum):
@@ -98,6 +103,13 @@ def _squared_grid(
     return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
 
 
+def _row_blocks(squared: NDArray[np.unsignedinteger]) -> Iterator[NDArray[np.unsignedinteger]]:
+    """Consecutive views of whole rows of ``squared``: as many rows as fit in
+    _BLOCK_CELLS cells, and at least one."""
+    step = max(1, _BLOCK_CELLS // squared.shape[1])
+    return (squared[start : start + step] for start in range(0, len(squared), step))
+
+
 def _normalized(squared: NDArray[np.unsignedinteger], maximum: float) -> NDArray[np.float64]:
     grid = np.sqrt(squared, dtype=np.float64)  # a bare sqrt of uint8 is float16
     return np.divide(grid, maximum, out=grid)
@@ -133,7 +145,13 @@ def bfm_distance(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     squared, maximum = _squared_grid(ppo1, ppo2, cap)
-    counts = np.bincount(squared.ravel())
+    # bincount copies its input to intp, so it counts one block of cells at a time
+    cells = squared.reshape(-1)
+    counts = np.bincount(cells[:_BLOCK_CELLS])
+    for start in range(_BLOCK_CELLS, len(cells), _BLOCK_CELLS):
+        block = np.bincount(cells[start : start + _BLOCK_CELLS], minlength=len(counts))
+        block[: len(counts)] += counts
+        counts = block
     present = np.flatnonzero(counts)
     roots = np.sqrt(present.astype(np.float64))
     optim = float(roots[0] / maximum)

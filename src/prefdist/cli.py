@@ -25,7 +25,7 @@ from .belief import (
     indirect_distance,
     load_bba_matrix,
 )
-from .bfm import Attitude, bfm_distance
+from .bfm import Attitude, _row_blocks, bfm_distance
 from .enumeration import DEFAULT_ENUMERATION_CAP, _completion_rows
 from .errors import (
     CapExceededError,
@@ -46,6 +46,10 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 _METRICS = {name: metric for metric, name in _METRIC_METHOD_NAME.items()}
+
+# What follows a grid cell, a grid row and the last row, after "[[" or "grid:\n  "
+_JSON_SEPS = (", ", "], [", "]]")
+_TABLE_SEPS = ("  ", "\n  ", "\n")
 
 
 class _UsageError(PrefdistError):
@@ -85,60 +89,82 @@ def _effective_cap(flag: int | None) -> int:
     return cap
 
 
-def _grid_rows(
-    squared: NDArray[np.unsignedinteger], counts: NDArray[np.intp], n: int, sep: str
+def _grid_text(
+    squared: NDArray[np.unsignedinteger], counts: NDArray[np.intp], n: int, seps: tuple[str, ...]
 ) -> Iterator[str]:
-    """Each row of the grid of cells sqrt(k) / max_psm_distance(n), where
-    ``squared`` holds the integers k and ``counts`` their histogram, as
-    ``repr`` renders the cells, joined by ``sep``; for a finite float,
-    ``json.dumps`` writes the same text.
+    """The text of the grid of cells sqrt(k) / max_psm_distance(n), in blocks of
+    whole rows, where ``squared`` holds the integers k and ``counts`` their
+    histogram.  Cells are written as ``repr`` writes them (for a finite float,
+    ``json.dumps`` writes the same text), each followed by ``seps[0]``, or
+    ``seps[1]`` at the end of a row, or ``seps[2]`` at the end of the grid.
 
-    Each k present is rendered once.  A grid of more than 2m^2 cells, m the
-    number of distinct k, is looked up two adjacent cells at a time, in a table
-    of the pre-joined texts of every pair present; an odd last column is
-    looked up alone.
+    Each k present is rendered once.  A grid of at most 2m^2 cells, m the
+    number of distinct k, is joined row by row.  A larger one is read two
+    adjacent cells at a time (an odd last column alone): a slot's key, in the
+    smallest unsigned type that holds them all, gives its cells' codes 1..m
+    (0: no second cell) and the separator after it.  A table keeps the text of
+    each key met so far, so a block is one lookup and one join.
     """
     present = np.flatnonzero(counts)
     m = len(present)
     roots = np.sqrt(present.astype(np.float64)) / max_psm_distance(n)
-    texts = np.array([repr(v) for v in roots.tolist()], dtype=object)
-    codes = np.zeros(present[-1] + 1, dtype=np.intp)
-    codes[present] = np.arange(m)
-    codes = codes.take(squared)
+    texts = [""] + [repr(v) for v in roots.tolist()]  # by code; code 0 is no cell
+    rows, cols = squared.shape
+    base = m + 1
+    span = base * base  # keys followed by one separator
+    codes = np.zeros(present[-1] + 1, dtype=np.min_scalar_type(3 * span - 1))
+    codes[present] = np.arange(1, base)
+    done = 0
     if squared.size <= 2 * m * m:
-        return map(sep.join, texts.take(codes).tolist())
-    cols = squared.shape[1]
-    pairs = codes[:, : cols - 1 : 2] * m + codes[:, 1::2]
-    seen = np.flatnonzero(np.bincount(pairs.ravel(), minlength=m * m))
-    table = np.empty(m * m, dtype=object)
-    table[seen] = [texts[p // m] + sep + texts[p % m] for p in seen.tolist()]
-    cells = table.take(pairs)
-    if cols % 2:
-        cells = np.concatenate([cells, texts.take(codes[:, -1:])], axis=1)
-    return map(sep.join, cells.tolist())
+        cells = np.array(texts, dtype=object)
+        for block in _row_blocks(squared):
+            done += len(block)
+            text = seps[1].join(map(seps[0].join, cells.take(codes.take(block)).tolist()))
+            yield text + seps[1 if done < rows else 2]
+        return
+    tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
+    table = np.empty(3 * span, dtype=object)
+    rendered = np.zeros(3 * span, dtype=bool)
+    for block in _row_blocks(squared):
+        keys = codes.take(block)  # take copies the block's index to intp: fast and small
+        keys, second = keys[:, ::2] * base, keys[:, 1::2]
+        keys[:, : cols // 2] += second
+        keys[:, -1] += span
+        done += len(block)
+        if done == rows:
+            keys[-1, -1] += span
+        keys = keys.ravel()
+        new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
+        rendered[new] = True
+        after, key = np.divmod(new, span)
+        first, second = np.divmod(key, base)
+        table[new] = [
+            texts[i] + tails[j] + seps[k]
+            for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
+        ]
+        yield "".join(table.take(keys).tolist())
 
 
 def _emit(payload: dict[str, Any], fmt: str, counts: NDArray[np.intp] | None = None) -> None:
-    """Print ``payload`` as one JSON object or as a table, writing a grid row by
-    row; ``counts`` is the histogram of the grid's k, when it has one."""
+    """Print ``payload`` as one JSON object or as a table, writing a grid in
+    blocks of rows; ``counts`` is the histogram of the grid's k, when it has one."""
+    write = sys.stdout.write
     if fmt == "json":
         if "grid" not in payload:
             print(json.dumps(payload))
             return
         keys = list(payload)  # a bfm reply has keys before and after its grid
         at = keys.index("grid")
-        write = sys.stdout.write
-        write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": ')
-        rows = _grid_rows(payload["grid"], counts, len(payload["objects"]), ", ")
-        for i, row in enumerate(rows):
-            write((", [" if i else "[[") + row + "]")
-        write("], " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
+        write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": [[')
+        for text in _grid_text(payload["grid"], counts, len(payload["objects"]), _JSON_SEPS):
+            write(text)
+        write(", " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
         return
     for key, value in payload.items():
         if key == "grid":
-            print("grid:")
-            for row in _grid_rows(value, counts, len(payload["objects"]), "  "):
-                print("  " + row)
+            write("grid:\n  ")
+            for text in _grid_text(value, counts, len(payload["objects"]), _TABLE_SEPS):
+                write(text)
         elif isinstance(value, float):
             print(f"{key}: {value!r}")
         elif isinstance(value, list):
@@ -152,10 +178,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     pref1 = _parse_pref(args.pref1, universe, "--pref1")
     pref2 = _parse_pref(args.pref2, universe, "--pref2")
     if args.method != "bfm":
-        if args.attitude is not None:
-            raise _UsageError("--attitude", "only valid with --method bfm")
-        if args.alpha is not None:
-            raise _UsageError("--alpha", "only valid with --method bfm")
+        for field, value in (("--conv", args.conv), ("--attitude", args.attitude),
+                             ("--alpha", args.alpha)):
+            if value is not None:
+                raise _UsageError(field, "only valid with --method bfm")
     alpha = 0.5 if args.alpha is None else args.alpha
     if not 0.0 <= alpha <= 1.0:
         raise _UsageError("--alpha", f"must lie in [0, 1], got {alpha}")
@@ -180,7 +206,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         headline = (
             report.aver if attitude == "all" else report.value(Attitude(attitude))
         )
-        maximum = max_psm_distance(len(universe), PsmConvention(args.conv))
+        maximum = max_psm_distance(len(universe), PsmConvention(args.conv or "signed"))
         payload.update(
             raw=headline * maximum,
             max=maximum,
@@ -279,8 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument(
         "--conv",
         choices=[c.value for c in PsmConvention],
-        default="signed",
-        help="score-matrix convention for bfm (the normalized value is identical)",
+        default=None,
+        help="bfm only: score-matrix convention for raw and max (default signed; "
+        "the normalized value is identical)",
     )
     dist.add_argument(
         "--attitude",

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,28 @@ class TestDist:
         )
         assert payload["grid"] == expected.tolist()
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bfm_reply_holds_no_grid_sized_temporary(self, fmt):
+        """A 4683 x 541 grid is 2.5 MB as uint8 and 20 MB as an intp copy; the
+        histogram and the writer read it in blocks of rows."""
+
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        argv = [
+            "dist", "--method", "bfm", "--objects", "a,b,c,d,e,f",
+            "--pref1", "a", "--pref2", "(a=b)", "--format", fmt,
+        ]
+        with contextlib.redirect_stdout(Discard()):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 20 * 2**20, peak
+
     def test_unknown_object_exits_2_naming_the_field(self, capsys):
         code, _, err = run(
             capsys, "dist", "--objects", "A,B,C", "--pref1", "D>A", "--pref2", "A>B"
@@ -187,6 +210,24 @@ class TestDist:
         )
         assert code == 2
         assert "--attitude" in err
+
+    @pytest.mark.parametrize("method", ["direct", "indirect-j", "indirect-bi"])
+    @pytest.mark.parametrize("conv", ["signed", "unit"])
+    def test_conv_requires_bfm(self, capsys, method, conv):
+        code, out, err = run(
+            capsys,
+            "dist", "--method", method, "--objects", "A,B,C",
+            "--pref1", "C>A", "--pref2", "A>B", "--conv", conv,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --conv: only valid with --method bfm\n"
+
+    def test_bfm_without_conv_reports_the_signed_numbers(self, capsys):
+        argv = ["dist", "--method", "bfm", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
+        default = run_json(capsys, *argv)
+        assert default == run_json(capsys, *argv, "--conv", "signed")
+        assert default["max"] == 2 * run_json(capsys, *argv, "--conv", "unit")["max"]
 
     def test_alpha_out_of_range(self, capsys):
         code, _, err = run(

@@ -71,7 +71,7 @@ from prefdist import (
     parse_preference,
     render_preference,
 )
-from prefdist import cli
+from prefdist import bfm, cli
 from prefdist.belief import _DIRECT_COST
 from prefdist.enumeration import _completions
 from prefdist.model import render_ranks
@@ -310,10 +310,14 @@ def float_gram_grid(ppo1, ppo2):
     return np.divide(np.sqrt(grid, out=grid), max_psm_distance(ppo1.universe_size), out=grid)
 
 
-def reference_grid_rows(squared, n, sep):
-    """Each row of the grid of cells sqrt(k) / max, one ``repr`` per cell."""
+def reference_grid_text(squared, n, seps):
+    """The grid of cells sqrt(k) / max, one ``repr`` per cell, with ``seps``
+    after each cell, each row and the last row."""
     maximum = reference_max_psm_distance(n, PsmConvention.SIGNED)
-    return [sep.join(repr(math.sqrt(k) / maximum) for k in row) for row in squared.tolist()]
+    cell, row, end = seps
+    return row.join(
+        cell.join(repr(math.sqrt(k) / maximum) for k in values) for values in squared.tolist()
+    ) + end
 
 
 @dataclass(frozen=True)
@@ -891,8 +895,10 @@ def test_grid_writer_table_reproduces_every_cell(n, convention):
     grid = reference_bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
     report = bfm_distance(WeakOrder((), n), WeakOrder((), n))
     assert np.array_equal(report.grid, grid)
-    rows = list(cli._grid_rows(report.squared, report.counts, n, " "))
-    assert rows == [" ".join(map(repr, row)) for row in grid.tolist()]
+    text = "".join(cli._grid_text(report.squared, report.counts, n, (" ", "\n", "\n")))
+    expected = "".join(" ".join(map(repr, row)) + "\n" for row in grid.tolist())
+    same = text == expected  # a bare assert would diff megabytes of text
+    assert same, len(os.path.commonprefix([text, expected]))
 
 
 # Squared distances at n = 3 (even, at most 24), named by shape and by the side
@@ -912,15 +918,58 @@ WRITER_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("sep", [", ", "  "])
+@pytest.mark.parametrize("sep", [", ", "  "])  # a JSON and a table cell separator
 @pytest.mark.parametrize("name", list(WRITER_GRIDS))
 def test_grid_writer_shapes_and_gate_sides(name, sep):
+    seps = {", ": cli._JSON_SEPS, "  ": cli._TABLE_SEPS}[sep]
     squared = np.array(WRITER_GRIDS[name], dtype=np.uint8)
     m = len(np.unique(squared))
     assert (squared.size > 2 * m * m) == name.endswith("_pairs")
     counts = np.bincount(squared.ravel())
-    assert list(cli._grid_rows(squared.T, counts, 3, sep)) == reference_grid_rows(squared.T, 3, sep)
-    assert list(cli._grid_rows(squared, counts, 3, sep)) == reference_grid_rows(squared, 3, sep)
+    for grid in (squared.T, squared):
+        assert "".join(cli._grid_text(grid, counts, 3, seps)) == reference_grid_text(grid, 3, seps)
+
+
+# Cells per block: one (a block is one row), three (three rows of a one-column
+# grid, one row of a wider one) and more than any grid here
+BLOCK_SIZES = [1, 3, 10**9]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("name", list(WRITER_GRIDS))
+def test_grid_reply_is_the_reference_at_every_block_size(name, fmt, block):
+    squared = np.array(WRITER_GRIDS[name], dtype=np.uint8)
+    for grid in (squared.T, squared):
+        payload = {"method": "bfm", "objects": ["A", "B", "C"], "grid": grid, "optim": 0.0}
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            reference_emit(payload, fmt)
+        actual = io.StringIO()
+        with mock.patch.object(bfm, "_BLOCK_CELLS", block), contextlib.redirect_stdout(actual):
+            cli._emit(payload, fmt, np.bincount(grid.ravel()))
+        assert actual.getvalue() == expected.getvalue(), grid
+
+
+# Orders on four objects, by the side of the writer's gate their grid lies on:
+# 75 x 75 and 31 x 31 cells read in pairs, 7 x 75 and 1 x 75 cell by cell
+GATE_PAIRS = [
+    ("A", "B", True), ("A>B", "B>A", True), ("A>B>C", "D", False), ("A>B>C>D", "A", False),
+]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("text1,text2,in_pairs", GATE_PAIRS)
+def test_bfm_stdout_is_the_reference_at_every_block_size(text1, text2, in_pairs, fmt, block):
+    universe = ObjectUniverse(tuple("ABCD"))
+    a, b = parse_preference(text1, universe), parse_preference(text2, universe)
+    with mock.patch.object(bfm, "_BLOCK_CELLS", block):
+        report = bfm_distance(a, b)
+        assert np.array_equal(report.counts, np.bincount(report.squared.ravel()))
+        m = np.count_nonzero(report.counts)
+        assert (report.squared.size > 2 * m * m) == in_pairs
+        assert_bfm_stdout_matches_reference(a, b, PsmConvention.SIGNED, fmt)
 
 
 PAIRS_UP_TO_FOUR = [

@@ -12,7 +12,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prefdist import (
@@ -33,6 +33,7 @@ from prefdist import (
     parse_preference,
     render_preference,
 )
+from prefdist.enumeration import _completion_count
 
 from strategies import all_partial_orders, weak_orders
 
@@ -297,6 +298,29 @@ def test_bfm_optim_is_zero_exactly_when_the_orders_agree_on_their_overlap(n):
     orders = all_partial_orders(n)[1:]  # every non-empty partial order
     for a, b in itertools.product(orders, repeat=2):
         assert (bfm_distance(a, b).optim == 0.0) == agree_on_overlap(a, b), (a, b)
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Restrictions of two total orders of 2..6 objects: the same order (they
+    agree on their overlap), its reverse, or an independent one."""
+    n = draw(st.integers(2, 6))
+    total = draw(weak_orders(min_n=n, max_n=n, total=True))
+    other = draw(weak_orders(min_n=n, max_n=n, total=True))
+    other = draw(st.sampled_from([total, total.reverse(), other]))
+    subsets = st.sets(st.integers(0, n - 1))
+    return total.restrict(draw(subsets)), other.restrict(draw(subsets))
+
+
+@settings(deadline=None)
+@given(
+    overlapping_pairs().filter(
+        lambda pair: _completion_count(pair[0]) * _completion_count(pair[1]) <= 10**5
+    )
+)
+def test_bfm_optim_is_zero_exactly_when_the_orders_agree_up_to_six_objects(pair):
+    a, b = pair
+    assert (bfm_distance(a, b).optim == 0.0) == agree_on_overlap(a, b), (a, b)
 
 
 class TestPsmStructure:
