@@ -5,6 +5,10 @@ decision attitude then collapses the grid to a single number: the minimum
 (optimistic), maximum (pessimistic), arithmetic mean (average), or a
 weighted min/max blend (Hurwicz, with alpha weighting the optimistic side so
 alpha = 0.5 is the midpoint attitude).
+
+A ``BfmReport`` keeps the grid as the integers k, the squared unnormalized
+distances, beside their histogram and the signed maximum; the scalars and
+the grid's text (``grid_text``) are both read from it.
 """
 
 from __future__ import annotations
@@ -103,13 +107,6 @@ def _squared_grid(
     return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
 
 
-def _row_blocks(squared: NDArray[np.unsignedinteger]) -> Iterator[NDArray[np.unsignedinteger]]:
-    """Consecutive views of whole rows of ``squared``: as many rows as fit in
-    _BLOCK_CELLS cells, and at least one."""
-    step = max(1, _BLOCK_CELLS // squared.shape[1])
-    return (squared[start : start + step] for start in range(0, len(squared), step))
-
-
 def _normalized(squared: NDArray[np.unsignedinteger], maximum: float) -> NDArray[np.float64]:
     grid = np.sqrt(squared, dtype=np.float64)  # a bare sqrt of uint8 is float16
     return np.divide(grid, maximum, out=grid)
@@ -166,3 +163,58 @@ def bfm_distance(
         hurwicz=alpha * optim + (1.0 - alpha) * pessim,
         alpha=alpha,
     )
+
+
+def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
+    """The text of the normalized grid of ``report``, in blocks of whole rows:
+    as many rows as fit in _BLOCK_CELLS cells, and at least one.  Cells are
+    written as ``repr`` writes them (for a finite float, ``json.dumps`` writes
+    the same text), each followed by ``seps[0]``, or ``seps[1]`` at the end of
+    a row, or ``seps[2]`` at the end of the grid.
+
+    Each k present in the report's histogram is rendered once, as
+    sqrt(k) / maximum.  A grid of at most 2m^2 cells, m the number of distinct
+    k, is joined row by row.  A larger one is read two adjacent cells at a
+    time (an odd last column alone): a slot's key, in the smallest unsigned
+    type that holds them all, gives its cells' codes 1..m (0: no second cell)
+    and the separator after it.  A table keeps the text of each key met so
+    far, so a block is one lookup and one join.
+    """
+    squared = report.squared
+    present = np.flatnonzero(report.counts)
+    m = len(present)
+    roots = np.sqrt(present.astype(np.float64)) / report.maximum
+    texts = [""] + [repr(v) for v in roots.tolist()]  # by code; code 0 is no cell
+    rows, cols = squared.shape
+    step = max(1, _BLOCK_CELLS // cols)
+    base = m + 1
+    span = base * base  # keys followed by one separator
+    codes = np.zeros(present[-1] + 1, dtype=np.min_scalar_type(3 * span - 1))
+    codes[present] = np.arange(1, base)
+    if squared.size <= 2 * m * m:
+        cells = np.array(texts, dtype=object)
+        for start in range(0, rows, step):
+            block = cells.take(codes.take(squared[start : start + step])).tolist()
+            yield seps[1].join(map(seps[0].join, block)) + seps[2 if start + step >= rows else 1]
+        return
+    tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
+    table = np.empty(3 * span, dtype=object)
+    rendered = np.zeros(3 * span, dtype=bool)
+    for start in range(0, rows, step):
+        # take copies the block's index to intp: fast and small
+        keys = codes.take(squared[start : start + step])
+        keys, second = keys[:, ::2] * base, keys[:, 1::2]
+        keys[:, : cols // 2] += second
+        keys[:, -1] += span
+        if start + step >= rows:
+            keys[-1, -1] += span
+        keys = keys.ravel()
+        new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
+        rendered[new] = True
+        after, key = np.divmod(new, span)
+        first, second = np.divmod(key, base)
+        table[new] = [
+            texts[i] + tails[j] + seps[k]
+            for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
+        ]
+        yield "".join(table.take(keys).tolist())

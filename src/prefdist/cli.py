@@ -13,10 +13,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Iterator
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import Any
 
 from .belief import (
     _METRIC_METHOD_NAME,
@@ -25,7 +22,7 @@ from .belief import (
     indirect_distance,
     load_bba_matrix,
 )
-from .bfm import Attitude, _row_blocks, bfm_distance
+from .bfm import Attitude, BfmReport, bfm_distance, grid_text
 from .enumeration import DEFAULT_ENUMERATION_CAP, _completion_rows
 from .errors import (
     CapExceededError,
@@ -89,81 +86,25 @@ def _effective_cap(flag: int | None) -> int:
     return cap
 
 
-def _grid_text(
-    squared: NDArray[np.unsignedinteger], counts: NDArray[np.intp], n: int, seps: tuple[str, ...]
-) -> Iterator[str]:
-    """The text of the grid of cells sqrt(k) / max_psm_distance(n), in blocks of
-    whole rows, where ``squared`` holds the integers k and ``counts`` their
-    histogram.  Cells are written as ``repr`` writes them (for a finite float,
-    ``json.dumps`` writes the same text), each followed by ``seps[0]``, or
-    ``seps[1]`` at the end of a row, or ``seps[2]`` at the end of the grid.
-
-    Each k present is rendered once.  A grid of at most 2m^2 cells, m the
-    number of distinct k, is joined row by row.  A larger one is read two
-    adjacent cells at a time (an odd last column alone): a slot's key, in the
-    smallest unsigned type that holds them all, gives its cells' codes 1..m
-    (0: no second cell) and the separator after it.  A table keeps the text of
-    each key met so far, so a block is one lookup and one join.
-    """
-    present = np.flatnonzero(counts)
-    m = len(present)
-    roots = np.sqrt(present.astype(np.float64)) / max_psm_distance(n)
-    texts = [""] + [repr(v) for v in roots.tolist()]  # by code; code 0 is no cell
-    rows, cols = squared.shape
-    base = m + 1
-    span = base * base  # keys followed by one separator
-    codes = np.zeros(present[-1] + 1, dtype=np.min_scalar_type(3 * span - 1))
-    codes[present] = np.arange(1, base)
-    done = 0
-    if squared.size <= 2 * m * m:
-        cells = np.array(texts, dtype=object)
-        for block in _row_blocks(squared):
-            done += len(block)
-            text = seps[1].join(map(seps[0].join, cells.take(codes.take(block)).tolist()))
-            yield text + seps[1 if done < rows else 2]
-        return
-    tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
-    table = np.empty(3 * span, dtype=object)
-    rendered = np.zeros(3 * span, dtype=bool)
-    for block in _row_blocks(squared):
-        keys = codes.take(block)  # take copies the block's index to intp: fast and small
-        keys, second = keys[:, ::2] * base, keys[:, 1::2]
-        keys[:, : cols // 2] += second
-        keys[:, -1] += span
-        done += len(block)
-        if done == rows:
-            keys[-1, -1] += span
-        keys = keys.ravel()
-        new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
-        rendered[new] = True
-        after, key = np.divmod(new, span)
-        first, second = np.divmod(key, base)
-        table[new] = [
-            texts[i] + tails[j] + seps[k]
-            for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
-        ]
-        yield "".join(table.take(keys).tolist())
-
-
-def _emit(payload: dict[str, Any], fmt: str, counts: NDArray[np.intp] | None = None) -> None:
-    """Print ``payload`` as one JSON object or as a table, writing a grid in
-    blocks of rows; ``counts`` is the histogram of the grid's k, when it has one."""
+def _emit(payload: dict[str, Any], fmt: str, report: BfmReport | None = None) -> None:
+    """Print ``payload`` as one JSON object or as a table; a bfm reply's grid,
+    at its "grid" key, is written from ``report`` in blocks of rows."""
     write = sys.stdout.write
     if fmt == "json":
-        if "grid" not in payload:
+        if report is None:
             print(json.dumps(payload))
             return
         keys = list(payload)  # a bfm reply has keys before and after its grid
         at = keys.index("grid")
         write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": [[')
-        for text in _grid_text(payload["grid"], counts, len(payload["objects"]), _JSON_SEPS):
+        for text in grid_text(report, _JSON_SEPS):
             write(text)
         write(", " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
         return
     for key, value in payload.items():
         if key == "grid":
             write("grid:\n  ")
-            for text in _grid_text(value, counts, len(payload["objects"]), _TABLE_SEPS):
+            for text in grid_text(report, _TABLE_SEPS):
                 write(text)
         elif isinstance(value, float):
             print(f"{key}: {value!r}")
@@ -179,7 +120,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     pref2 = _parse_pref(args.pref2, universe, "--pref2")
     if args.method != "bfm":
         for field, value in (("--conv", args.conv), ("--attitude", args.attitude),
-                             ("--alpha", args.alpha)):
+                             ("--alpha", args.alpha), ("--cap", args.cap)):
             if value is not None:
                 raise _UsageError(field, "only valid with --method bfm")
     alpha = 0.5 if args.alpha is None else args.alpha
@@ -219,7 +160,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             alpha=report.alpha,
             n_ctpo=list(report.n_ctpo),
         )
-        _emit(payload, args.format, report.counts)
+        _emit(payload, args.format, report)
     else:
         payload.update(raw=report.raw, max=report.max, normalized=report.normalized)
         _emit(payload, args.format)
@@ -261,24 +202,26 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         universe = ObjectUniverse.numbered(args.n)
     else:
         raise _UsageError("--n", "required unless --objects is given")
-    ranks = _completion_rows((-1,) * len(universe), _effective_cap(args.cap))
-    _print_orders(ranks, universe)
-    print(f"count: {len(ranks)}")
+    count = _print_orders((-1,) * len(universe), universe, args.cap)
+    print(f"count: {count}")
     return 0
 
 
 def _cmd_compatible(args: argparse.Namespace) -> int:
     universe = _parse_objects(args.objects)
     ppo = _parse_pref(args.pref, universe, "--pref")
-    _print_orders(_completion_rows(ppo.rank_tuple, _effective_cap(args.cap)), universe)
+    _print_orders(ppo.rank_tuple, universe, args.cap)
     return 0
 
 
-def _print_orders(ranks: NDArray[np.integer], universe: ObjectUniverse) -> None:
-    """Print the order of each row of ``ranks``, converting 4096 rows at a time."""
+def _print_orders(fixed: tuple[int, ...], universe: ObjectUniverse, cap: int | None) -> int:
+    """Print every completion of the rank vector ``fixed``, converting 4096
+    rows at a time, and return how many there are."""
+    ranks = _completion_rows(fixed, _effective_cap(cap))
     for start in range(0, len(ranks), 4096):
         rows = ranks[start : start + 4096].tolist()
         sys.stdout.write("".join(render_ranks(row, universe.labels) + "\n" for row in rows))
+    return len(ranks)
 
 
 @functools.cache

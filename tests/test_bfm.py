@@ -122,11 +122,15 @@ class TestGrid:
                 assert report.squared[rows.index(row_name), cols.index(col_name)] == k
 
     @pytest.mark.parametrize(
-        "n, dtype", [(8, np.uint8), (9, np.uint16), (2048, np.uint32), (2049, np.uint32)]
+        "n, dtype",
+        [(8, np.uint8), (9, np.uint16), (128, np.uint16), (129, np.uint32), (2048, np.uint32),
+         (2049, np.uint32)],
     )
     def test_squared_grid_type_and_exactness_at_the_range_edges(self, n, dtype):
-        """k <= 4n(n - 1) picks the smallest unsigned type; the Gram product runs
-        in float32 while 4n(n - 1) < 2^24, up to n = 2048, and in float64 beyond."""
+        """k <= 4n(n - 1) picks the smallest unsigned type: uint32 from n = 129,
+        where the completion rows switch from int8 to int16.  The Gram product
+        runs in float32 while 4n(n - 1) < 2^24, up to n = 2048, and in float64
+        beyond."""
         chain = chain_order(n)
         swapped = WeakOrder(((1,), (0,)) + chain.classes[2:], n)
         for other, k in ((chain.reverse(), 4 * n * (n - 1)), (swapped, 8), (chain, 0)):

@@ -223,6 +223,18 @@ class TestDist:
         assert out == ""
         assert err == "error: --conv: only valid with --method bfm\n"
 
+    @pytest.mark.parametrize("method", ["direct", "indirect-j", "indirect-bi"])
+    @pytest.mark.parametrize("cap", ["8", "0"])
+    def test_cap_requires_bfm(self, capsys, monkeypatch, method, cap):
+        monkeypatch.setenv("PREFDIST_CAP", "0")  # the environment cap is not a flag
+        argv = ["dist", "--method", method, "--objects", "A,B,C",
+                "--pref1", "C>A", "--pref2", "A>B"]
+        assert run(capsys, *argv)[0] == 0
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --cap: only valid with --method bfm\n"
+
     def test_bfm_without_conv_reports_the_signed_numbers(self, capsys):
         argv = ["dist", "--method", "bfm", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
         default = run_json(capsys, *argv)
@@ -454,6 +466,8 @@ class TestEnumerateCommand:
         for argv in (
             ["enumerate", "--n", "3", "--cap", cap],
             ["dist", "--method", "bfm", "--objects", "A,B,C",
+             "--pref1", "C>A", "--pref2", "A>B", "--cap", cap],
+            ["dist", "--method", "direct", "--objects", "A,B,C",
              "--pref1", "C>A", "--pref2", "A>B", "--cap", cap],
             ["compatible", "--objects", "A,B,C", "--pref", "C>A", "--cap", cap],
         ):

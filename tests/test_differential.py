@@ -491,7 +491,7 @@ def reference_parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder
     return WeakOrder(tuple(indexed), len(universe))
 
 
-def reference_emit(payload, fmt, counts=None):  # renders every cell; needs no histogram
+def reference_emit(payload, fmt, report=None):  # renders every cell of the payload's grid
     if "grid" in payload:  # the payload carries the squared distances k
         maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
         grid = [[math.sqrt(k) / maximum for k in row] for row in payload["grid"].tolist()]
@@ -895,7 +895,7 @@ def test_grid_writer_table_reproduces_every_cell(n, convention):
     grid = reference_bfm_grid(WeakOrder((), n), WeakOrder((), n), convention)
     report = bfm_distance(WeakOrder((), n), WeakOrder((), n))
     assert np.array_equal(report.grid, grid)
-    text = "".join(cli._grid_text(report.squared, report.counts, n, (" ", "\n", "\n")))
+    text = "".join(bfm.grid_text(report, (" ", "\n", "\n")))
     expected = "".join(" ".join(map(repr, row)) + "\n" for row in grid.tolist())
     same = text == expected  # a bare assert would diff megabytes of text
     assert same, len(os.path.commonprefix([text, expected]))
@@ -918,16 +918,25 @@ WRITER_GRIDS = {
 }
 
 
+def writer_report(squared):
+    """A report on the grid ``squared`` of three objects, holding its histogram
+    and maximum; the grid writer reads nothing else of it."""
+    counts = np.bincount(squared.ravel())
+    return bfm.BfmReport(squared, counts, max_psm_distance(3), 0.0, 0.0, 0.0, 0.0, 0.5)
+
+
 @pytest.mark.parametrize("sep", [", ", "  "])  # a JSON and a table cell separator
 @pytest.mark.parametrize("name", list(WRITER_GRIDS))
 def test_grid_writer_shapes_and_gate_sides(name, sep):
+    """On every type that k can have: the writer looks codes up by k."""
     seps = {", ": cli._JSON_SEPS, "  ": cli._TABLE_SEPS}[sep]
-    squared = np.array(WRITER_GRIDS[name], dtype=np.uint8)
-    m = len(np.unique(squared))
-    assert (squared.size > 2 * m * m) == name.endswith("_pairs")
-    counts = np.bincount(squared.ravel())
-    for grid in (squared.T, squared):
-        assert "".join(cli._grid_text(grid, counts, 3, seps)) == reference_grid_text(grid, 3, seps)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        squared = np.array(WRITER_GRIDS[name], dtype=dtype)
+        m = len(np.unique(squared))
+        assert (squared.size > 2 * m * m) == name.endswith("_pairs")
+        for grid in (squared.T, squared):
+            text = "".join(bfm.grid_text(writer_report(grid), seps))
+            assert text == reference_grid_text(grid, 3, seps), (grid, dtype)
 
 
 # Cells per block: one (a block is one row), three (three rows of a one-column
@@ -947,7 +956,7 @@ def test_grid_reply_is_the_reference_at_every_block_size(name, fmt, block):
             reference_emit(payload, fmt)
         actual = io.StringIO()
         with mock.patch.object(bfm, "_BLOCK_CELLS", block), contextlib.redirect_stdout(actual):
-            cli._emit(payload, fmt, np.bincount(grid.ravel()))
+            cli._emit(payload, fmt, writer_report(grid))
         assert actual.getvalue() == expected.getvalue(), grid
 
 
