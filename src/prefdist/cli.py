@@ -57,7 +57,7 @@ class _UsageError(PrefdistError):
 
 
 def _parse_objects(flag_value: str) -> ObjectUniverse:
-    labels = tuple(label.strip() for label in flag_value.split(","))
+    labels = tuple(map(str.strip, flag_value.split(",")))
     try:
         return ObjectUniverse(labels)
     except (PrefdistError, ValueError) as exc:

@@ -51,6 +51,8 @@ class PairRelation(Enum):
 
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
+_GROUP = rf"\s*(?:{_LABEL.pattern}|\(\s*{_LABEL.pattern}(?:\s*=\s*{_LABEL.pattern})+\s*\))\s*"
+_ORDERING = re.compile(rf"{_GROUP}(?:>{_GROUP})*")  # the grammar of the module docstring
 _T = TypeVar("_T")
 
 
@@ -61,16 +63,23 @@ class ObjectUniverse:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        if not labels:
             raise ValueError("universe must contain at least one object")
-        bad = next(filterfalse(_LABEL.fullmatch, self.labels), None)
-        if bad is not None:
+        try:
+            valid = all(labels) and _LABEL.fullmatch("".join(labels))
+        except TypeError:  # a label that is not a str: fullmatch below raises re's error
+            valid = None
+        if not valid:
+            bad = next(filterfalse(_LABEL.fullmatch, labels))
             raise ValueError(f"object label {bad!r} must match {_LABEL.pattern}")
-        positions: dict[str, int] = {}
-        for pos, label in enumerate(self.labels):
-            if positions.setdefault(label, pos) != pos:
-                raise DuplicateObjectError(f"duplicate object label {label!r}")
+        positions = dict(zip(labels, range(len(labels))))
+        if len(positions) < len(labels):
+            positions = {}
+            for pos, label in enumerate(labels):
+                if positions.setdefault(label, pos) != pos:
+                    raise DuplicateObjectError(f"duplicate object label {label!r}")
         object.__setattr__(self, "_positions", positions)
 
     @classmethod
@@ -156,11 +165,7 @@ class WeakOrder:
     def relation_codes(self) -> NDArray[np.int8]:
         """N x N codes with ``list(PairRelation)[codes[i, j]] is self.relation(i, j)``:
         SUCC 0, EQUIV 1 (also the diagonal), PREC 2, UNKNOWN 3."""
-        r = self.rank_vector
-        codes = (np.sign(r[:, None] - r[None, :]) + 1).astype(np.int8)
-        codes[(r[:, None] < 0) | (r[None, :] < 0)] = 3
-        np.fill_diagonal(codes, 1)
-        return codes
+        return _relation_codes(self.rank_tuple)[0]
 
     def ranks(self) -> dict[int, int]:
         """Class position of every mentioned index (0 = most preferred)."""
@@ -205,6 +210,20 @@ class WeakOrder:
         )
 
 
+def _relation_codes(*rank_tuples: Sequence[int]) -> NDArray[np.int8]:
+    """The stacked :meth:`WeakOrder.relation_codes` of equal-length rank tuples."""
+    n = len(rank_tuples[0])
+    # rank differences lie in [-n, n], so the type of -n - 1 holds them unwrapped
+    ranks = np.array(rank_tuples, dtype=np.min_scalar_type(-n - 1))
+    codes = np.sign(ranks[:, :, None] - ranks[:, None, :]).astype(np.int8, copy=False)
+    codes += 1
+    unmentioned = ranks < 0
+    codes[unmentioned] = 3  # rows
+    codes.transpose(0, 2, 1)[unmentioned] = 3  # columns
+    codes.reshape(len(ranks), n * n)[:, :: n + 1] = 1  # diagonals
+    return codes
+
+
 def _tie_classes(ranks: Sequence[int], items: Sequence[_T]) -> list[list[_T]]:
     """``items[i]`` of each object i ranked by ``ranks``, one list per tie-class,
     classes in preference order and each in object order."""
@@ -234,6 +253,22 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
 
     Every identifier must name a universe object and may appear only once.
     """
+    if _ORDERING.fullmatch(text):
+        groups = "".join(text.split()).replace("(", "").replace(")", "").split(">")
+        ranks = [-1] * len(universe)
+        named = 0
+        try:
+            for pos, group in enumerate(groups):
+                members = group.split("=")
+                named += len(members)
+                for label in members:
+                    ranks[universe._positions[label]] = pos
+        except KeyError:
+            pass  # an unknown object: the walk below names it
+        else:
+            if ranks.count(-1) == len(ranks) - named:  # no object was named twice
+                return WeakOrder.from_ranks(ranks)
+    # Only text that the fast path rejects gets here, to name its first fault.
     if not text.strip():
         raise EmptyExpressionError("empty preference expression")
     groups: list[list[str]] = []

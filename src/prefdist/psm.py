@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConventionMismatchError, DimensionMismatchError, NotTotalError
-from .model import WeakOrder, common_size
+from .model import WeakOrder, _relation_codes, common_size
 
 
 class PsmConvention(Enum):
@@ -38,12 +38,18 @@ def pair_cost(values: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.atleast_3d(np.square(values[:, None] - values)).sum(axis=-1)
 
 
+def _category_counts(order1: WeakOrder, order2: WeakOrder) -> NDArray[np.intp]:
+    """4 x 4 table whose cell (a, b) counts the cells that ``order1`` codes a and
+    ``order2`` codes b."""
+    codes = _relation_codes(order1.rank_tuple, order2.rank_tuple)
+    return np.bincount((4 * codes[0] + codes[1]).ravel(), minlength=16).reshape(4, 4)
+
+
 def category_distance(order1: WeakOrder, order2: WeakOrder, cost: NDArray[np.float64]) -> float:
     """Root of the summed ``cost`` of the cells, counted by pair of relation codes;
     ``cost`` must cover every code that the two orders give."""
     k = len(cost)
-    codes = k * order1.relation_codes() + order2.relation_codes()
-    counts = np.bincount(codes.ravel(), minlength=k * k).reshape(k, k)
+    counts = _category_counts(order1, order2)[:k, :k]
     counts = counts + counts.T  # swapped operands give the same bits
     return math.sqrt(float((counts * cost).sum()) / 2)
 

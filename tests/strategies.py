@@ -34,8 +34,10 @@ def weak_orders(draw, min_n=1, max_n=5, total=False):
     return WeakOrder(classes, n)
 
 
-#: Characters a mutation inserts or substitutes into preference text.
-MUTATION_ALPHABET = "ABCDEFGx_1Z9()=>#é \t"
+#: Characters a mutation inserts or substitutes into preference text; the
+#: whitespace runs from ASCII to the file separator, NEL, NBSP and the
+#: ideographic space, which ``str.split`` and ``str.strip`` also treat as space.
+MUTATION_ALPHABET = "ABCDEFGx_1Z9()=>#é \t\n\x1c\x85\xa0\u3000"
 
 
 @st.composite

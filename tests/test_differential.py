@@ -10,7 +10,10 @@ matrix built per order and one Frobenius distance per completion pair, and
 the float64 grid that a Gram product over whole score matrices gave; for
 the command line, one ``json.dumps`` of the whole reply and one ``repr`` per
 table cell; for preference text, a character-loop tokenizer and a
-recursive-descent parser.  They are slow and stay here only as oracles.
+recursive-descent parser, and the group loop that split every text on ``>``
+and ``=`` (the oracle of the error messages); for the pair-category table,
+one int64-ranked code array per order and one ``bincount`` of the two.
+They are slow and stay here only as oracles.
 """
 
 import contextlib
@@ -74,8 +77,8 @@ from prefdist import (
 from prefdist import bfm, cli
 from prefdist.belief import _DIRECT_COST
 from prefdist.enumeration import _completions
-from prefdist.model import render_ranks
-from prefdist.psm import _COST
+from prefdist.model import _LABEL, _relation_codes, render_ranks
+from prefdist.psm import _COST, _category_counts
 
 from strategies import all_partial_orders, preference_texts, weak_orders
 
@@ -491,6 +494,48 @@ def reference_parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder
     return WeakOrder(tuple(indexed), len(universe))
 
 
+def reference_group_loop_parse(text: str, universe: ObjectUniverse) -> WeakOrder:
+    """Split the text on ``>``, strip each group and split a parenthesized one on
+    ``=``; every error it raises is the one the parser must raise."""
+    if not text.strip():
+        raise EmptyExpressionError("empty preference expression")
+    groups: list[list[str]] = []
+    for part in text.split(">"):
+        group = part.strip()
+        tie = group.startswith("(") and group.endswith(")")
+        members = [label.strip() for label in group[1:-1].split("=")] if tie else [group]
+        if (tie and len(members) < 2) or not all(map(_LABEL.fullmatch, members)):
+            raise PreferenceSyntaxError(
+                f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
+                "or a tie of two or more names, such as '(A = B)'"
+            )
+        groups.append(members)
+
+    seen: set[str] = set()
+    ranks = [-1] * len(universe)
+    for pos, members in enumerate(groups):
+        for label in members:
+            if label in seen:
+                raise DuplicateObjectError(f"object {label!r} mentioned twice")
+            seen.add(label)
+        for label in members:
+            ranks[universe.index(label)] = pos
+    return WeakOrder.from_ranks(ranks)
+
+
+def reference_relation_codes(order: WeakOrder) -> np.ndarray:
+    r = np.array(order.rank_tuple, dtype=np.int64)
+    codes = (np.sign(r[:, None] - r[None, :]) + 1).astype(np.int8)
+    codes[(r[:, None] < 0) | (r[None, :] < 0)] = 3
+    np.fill_diagonal(codes, 1)
+    return codes
+
+
+def reference_category_counts(order1: WeakOrder, order2: WeakOrder) -> np.ndarray:
+    codes = 4 * reference_relation_codes(order1) + reference_relation_codes(order2)
+    return np.bincount(codes.ravel(), minlength=16).reshape(4, 4)
+
+
 def reference_emit(payload, fmt, report=None):  # renders every cell of the payload's grid
     if "grid" in payload:  # the payload carries the squared distances k
         maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
@@ -729,6 +774,51 @@ class TestEncoding:
     @given(weak_orders(max_n=MAX_N))
     def test_bba_matrix_matches_reference(self, order):
         assert build_bba_matrix(order) == reference_bba_matrix(order)
+
+
+class TestCategoryCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=order_pairs(max_n=70) | order_pairs(max_n=70, total=True))
+    def test_table_is_the_two_array_bincount(self, pair):
+        counts = _category_counts(*pair)
+        assert counts.dtype.kind == "i"
+        assert np.array_equal(counts, reference_category_counts(*pair))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 70])
+    def test_empty_and_total_orders(self, n):
+        orders = (WeakOrder((), n), chain_order(n), chain_order(n).reverse())
+        for a, b in itertools.product(orders, repeat=2):
+            assert np.array_equal(_category_counts(a, b), reference_category_counts(a, b))
+
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_stacked_codes_match_relation_at_the_int8_edge(self, n):
+        """Ranks and their differences cross the int8 limit of 127 between these
+        sizes, where a one-byte rank type would wrap without a warning."""
+        rng = np.random.default_rng(n)
+        ties = rng.integers(0, n // 3, n).tolist()
+        unmentioned = [-1 if i % 5 == 2 else rank for i, rank in enumerate(ties)]
+        orders = [
+            chain_order(n),
+            chain_order(n).reverse(),
+            WeakOrder.from_ranks(list(range(n - 2)) + [-1, -1]),
+            WeakOrder.from_ranks([-1] + list(range(n - 1))),
+            WeakOrder(_tie_classes_of(ties), n),
+            WeakOrder(_tie_classes_of(unmentioned), n),
+        ]
+        relations = list(PairRelation)
+        stacked = _relation_codes(*(order.rank_tuple for order in orders))
+        assert stacked.dtype == np.int8 and stacked.shape == (len(orders), n, n)
+        for order, codes in zip(orders, stacked):
+            expected = [
+                [relations.index(order.relation(i, j)) for j in range(n)] for i in range(n)
+            ]
+            assert codes.tolist() == expected
+            assert np.array_equal(order.relation_codes(), codes)
+
+
+def _tie_classes_of(ranks):
+    """Tie-classes of possibly gapped ranks, -1 leaving an object out."""
+    return [[i for i, r in enumerate(ranks) if r == level] for level in sorted(set(ranks) - {-1})]
 
 
 class TestDistances:
@@ -1094,6 +1184,22 @@ def parse_outcome(parse, text):
         return type(exc)
 
 
+def full_parse_outcome(parse, text):
+    """The order ``parse`` reads from ``text``, or the type and message of its error."""
+    try:
+        return parse(text, PARSE_UNIVERSE)
+    except PrefdistError as exc:
+        return type(exc), str(exc)
+
+
+FIXED_PARSE_TEXTS = [
+    "B > A > C", "C > (A = B)", "(A = B = C)", "  C>(A =B) ", "C > A", "A > A",
+    "A > Z9", "   ", "", "A >", "> A", "A B", "(A)", "(A = B", "A = B", "A > (B > C)",
+    "A # B", "()", "( A=B )", "(A = B))", "((A = B)", "(A = B) > (A = C)",
+    "x_1>\tG", "\u00e9", "A > \u00e9", "A\x1cB", "(A = = B)", "(=A)", "A > Z9 > (",
+]
+
+
 class TestParser:
     @settings(max_examples=1000, deadline=None)
     @given(text=preference_texts(PARSE_LABELS))
@@ -1102,16 +1208,30 @@ class TestParser:
             reference_parse_preference, text
         )
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "B > A > C", "C > (A = B)", "(A = B = C)", "  C>(A =B) ", "C > A", "A > A",
-            "A > Z9", "   ", "", "A >", "> A", "A B", "(A)", "(A = B", "A = B", "A > (B > C)",
-            "A # B", "()", "( A=B )", "(A = B))", "((A = B)", "(A = B) > (A = C)",
-            "x_1>\tG", "\u00e9", "A > \u00e9", "A\x1cB", "(A = = B)", "(=A)", "A > Z9 > (",
-        ],
-    )
+    @pytest.mark.parametrize("text", FIXED_PARSE_TEXTS)
     def test_fixed_cases_match_the_recursive_descent_parser(self, text):
         assert parse_outcome(parse_preference, text) == parse_outcome(
             reference_parse_preference, text
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(text=preference_texts(PARSE_LABELS) | preference_texts(PARSE_LABELS, unique=True))
+    def test_order_or_error_message_matches_the_group_loop(self, text):
+        assert full_parse_outcome(parse_preference, text) == full_parse_outcome(
+            reference_group_loop_parse, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        FIXED_PARSE_TEXTS
+        + [
+            "C\u3000> A", "A\x85>\xa0B", "\nA\n", "(A\x1c=\x1cB)", "A >\u2028D", "\u3000",
+            "D > A > A", "A > (B = B)", "(A = D) > A", "A > B > C > D > E > F > G > x_1",
+            "\u200bA", "A\ufeff", "A > x_1 > Z9", "(A=B)>(C=D)>(E=F=G)",
+            "Z9 > A > A", "A > A > Z9", "(A = Z9 = A)",
+        ],
+    )
+    def test_fixed_cases_match_the_group_loop(self, text):
+        assert full_parse_outcome(parse_preference, text) == full_parse_outcome(
+            reference_group_loop_parse, text
         )

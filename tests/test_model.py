@@ -49,6 +49,19 @@ class TestObjectUniverse:
         with pytest.raises(ValueError, match=r"must match \[A-Za-z0-9_\]\+$"):
             ObjectUniverse(("A0", label))
 
+    def test_the_first_bad_label_is_named(self):
+        with pytest.raises(ValueError, match="^object label 'x y' must match"):
+            ObjectUniverse(("A", "x y", "B", "\u00e9", ""))
+
+    @pytest.mark.parametrize("labels", [("A", 1), (0, "A"), ("A", b"B"), ("A", None)])
+    def test_a_label_that_is_not_a_string_raises_type_error(self, labels):
+        with pytest.raises(TypeError):
+            ObjectUniverse(labels)
+
+    def test_a_bad_label_is_named_before_a_later_non_string(self):
+        with pytest.raises(ValueError, match="'A B'"):
+            ObjectUniverse(("A B", 1))
+
     def test_single_object_allowed(self):
         assert len(ObjectUniverse(("A",))) == 1
 
