@@ -63,10 +63,11 @@ class BeliefInterval:
     pl: float
 
     def __post_init__(self) -> None:
-        if (
-            self.bel < -_MASS_TOLERANCE
-            or self.pl > 1.0 + _MASS_TOLERANCE
-            or self.bel > self.pl + _MASS_TOLERANCE
+        # a NaN bound fails every comparison, so only valid bounds may pass
+        if not (
+            -_MASS_TOLERANCE <= self.bel
+            and self.pl <= 1.0 + _MASS_TOLERANCE
+            and self.bel <= self.pl + _MASS_TOLERANCE
         ):
             raise ValueError(f"need 0 <= bel <= pl <= 1, got [{self.bel}, {self.pl}]")
 

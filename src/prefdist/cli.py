@@ -225,7 +225,8 @@ def _print_orders(fixed: tuple[int, ...], universe: ObjectUniverse, cap: int | N
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command line's grammar: the top-level parser and the subcommands' parsers."""
     parser = argparse.ArgumentParser(
         prog="prefdist",
         description="Normalized distances between total and partial preference orderings.",
@@ -285,11 +286,19 @@ def _build_parser() -> argparse.ArgumentParser:
     compat.add_argument("--cap", type=int, default=None)
     compat.set_defaults(handler=_cmd_compatible)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        # what the top-level parser does with this argv, without first scanning it all
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+    else:  # no command, help, an unknown command or a leading "--"
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except CapExceededError as exc:

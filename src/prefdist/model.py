@@ -134,8 +134,13 @@ class WeakOrder:
             dense = False
         if not dense:
             raise ValueError(f"rank vector {ranks!r} must hold integers that are -1 or fill 0..m-1")
+        return cls._dense(values)
+
+    @classmethod
+    def _dense(cls, rank_tuple: tuple[int, ...]) -> "WeakOrder":
+        """The order with ``rank_tuple``, which the caller has built dense."""
         order = object.__new__(cls)
-        object.__setattr__(order, "rank_tuple", values)
+        object.__setattr__(order, "rank_tuple", rank_tuple)
         return order
 
     @property
@@ -266,8 +271,8 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
         except KeyError:
             pass  # an unknown object: the walk below names it
         else:
-            if ranks.count(-1) == len(ranks) - named:  # no object was named twice
-                return WeakOrder.from_ranks(ranks)
+            if ranks.count(-1) == len(ranks) - named:  # no object named twice: ranks are dense
+                return WeakOrder._dense(tuple(ranks))
     # Only text that the fast path rejects gets here, to name its first fault.
     if not text.strip():
         raise EmptyExpressionError("empty preference expression")

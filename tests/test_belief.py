@@ -15,6 +15,7 @@ from prefdist import (
     BbaFormatError,
     BbaMatrix,
     BbaMetric,
+    BeliefInterval,
     DegenerateUniverseError,
     DimensionMismatchError,
     EmptySubsetError,
@@ -140,6 +141,17 @@ class TestBelPl:
             assert interval.bel == pytest.approx(bel)
             assert interval.pl == pytest.approx(pl)
             assert interval.uncertainty == pytest.approx(pl - bel)
+
+    @pytest.mark.parametrize(
+        "bel, pl",
+        [
+            (math.nan, 0.5), (0.2, math.nan), (math.nan, math.nan),
+            (-math.inf, 0.5), (0.2, math.inf), (math.inf, math.inf), (-math.inf, -math.inf),
+        ],
+    )
+    def test_interval_rejects_nan_and_infinite_bounds(self, bel, pl):
+        with pytest.raises(ValueError, match=r"need 0 <= bel <= pl <= 1"):
+            BeliefInterval(bel, pl)
 
 
 class TestEncoding:

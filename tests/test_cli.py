@@ -18,6 +18,7 @@ from prefdist.cli import main
 from prefdist.enumeration import CompatibleSet
 
 from strategies import preference_texts
+from test_cli_fuzz import argv_calls
 
 TOL = 5e-5
 
@@ -568,6 +569,86 @@ class TestRepeatedCalls:
             capsys, "dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"
         )
         assert payload["method"] == "direct"
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse`` makes of ``argv``, less its ``command``; or the
+    code it exits with, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    assert out.getvalue() == err.getvalue() == ""
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
+@contextlib.contextmanager
+def handlers_return_their_namespace():
+    """Make ``main`` return the namespace it parsed instead of running a command."""
+    _, commands = cli._build_parser()
+    handlers = {name: sub.get_default("handler") for name, sub in commands.items()}
+    for sub in commands.values():
+        sub.set_defaults(handler=lambda args: args)
+    try:
+        yield
+    finally:
+        for name, sub in commands.items():
+            sub.set_defaults(handler=handlers[name])
+
+
+def assert_dispatch_matches_the_full_parser(argv):
+    """``main`` hands a call straight to its subcommand's parser; the full
+    parser, reading the whole argv, is the reference."""
+    parser, _ = cli._build_parser()
+    with handlers_return_their_namespace():
+        assert parse_outcome(main, argv) == parse_outcome(parser.parse_args, argv)
+
+
+DIST = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
+DISPATCH_ARGVS = [
+    DIST,
+    DIST + ["--method", "bfm", "--conv", "unit", "--attitude", "hurwicz", "--alpha", "0.25"],
+    ["dist-general", "one.json", "two.json", "--format", "table"],
+    ["enumerate", "--n", "3", "--objects", "A,B,C"],
+    ["compatible", "--objects", "A,B,C", "--pref", "C>A", "--cap", "5"],
+    [], ["--help"], ["-h"], ["-h", "dist"], ["dist", "-h"], DIST + ["--help"], ["enumerate", "--he"],
+    ["dsit"], ["dsit", "--objects", "A,B"], ["Dist"], ["-x", "dist"],
+    ["--"] + DIST, ["--", "--help"], ["dist", "--", "extra"], DIST + ["--"],
+    DIST + ["extra"], DIST + ["extra", "--bogus", "-x"], ["enumerate", "3"],
+    ["dist", "--objects=A,B", "--pref1=A", "--pref2=B"],
+    ["dist", "--obj", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"],
+    ["dist", "--objects", "A,B,C", "--pref", "C>A", "--pref2", "A>B"],  # ambiguous
+    DIST + ["--method", "kendall"], DIST + ["--alpha", "x"], DIST + ["--cap"],
+    ["dist"], ["dist-general"], ["compatible", "--objects", "A,B"], ["enumerate", "--n", "-1"],
+]
+
+
+@st.composite
+def dispatch_argvs(draw):
+    """A call from the fuzz strategies, now and then with a stray word after it,
+    an unknown word or ``-h`` for its command, or a leading ``--``."""
+    argv = draw(argv_calls())
+    kind = draw(st.integers(0, 3))
+    if kind == 1:
+        return argv + [draw(st.sampled_from(["extra", "-x", "--bogus=1", "C>A", "--", "-h"]))]
+    if kind == 2:
+        return [draw(st.sampled_from(["dsit", "Dist", "dist-", "compat", "-h"]))] + argv[1:]
+    if kind == 3:
+        return ["--"] + argv
+    return argv
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+    def test_fixed_calls_parse_like_the_full_parser(self, argv):
+        assert_dispatch_matches_the_full_parser(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=dispatch_argvs())
+    def test_fuzzed_calls_parse_like_the_full_parser(self, argv):
+        assert_dispatch_matches_the_full_parser(argv)
 
 
 class TestPreferenceTextFuzz:
