@@ -38,7 +38,7 @@ from .belief import (
     jousselme_distance,
     load_bba_matrix,
 )
-from .bfm import Attitude, BfmReport, bfm_distance, bfm_grid
+from .bfm import Attitude, BfmReport, bfm_distance
 from .enumeration import (
     DEFAULT_ENUMERATION_CAP,
     CompatibleSet,
@@ -48,7 +48,6 @@ from .enumeration import (
 from .errors import (
     BbaFormatError,
     CapExceededError,
-    ConventionMismatchError,
     DegenerateUniverseError,
     DimensionMismatchError,
     DuplicateObjectError,
@@ -71,10 +70,7 @@ from .model import (
     render_preference,
 )
 from .psm import (
-    PreferenceScoreMatrix,
     PsmConvention,
-    build_psm,
-    frobenius_distance,
     max_psm_distance,
     normalized_distance,
 )
@@ -93,7 +89,6 @@ __all__ = [
     "BfmReport",
     "CapExceededError",
     "CompatibleSet",
-    "ConventionMismatchError",
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateUniverseError",
     "DimensionMismatchError",
@@ -108,7 +103,6 @@ __all__ = [
     "ObjectUniverse",
     "PairRelation",
     "PrefdistError",
-    "PreferenceScoreMatrix",
     "PreferenceSyntaxError",
     "PsmConvention",
     "SubsetNotMentionedError",
@@ -119,15 +113,12 @@ __all__ = [
     "bba_matrix_from_json",
     "belief_interval_distance",
     "bfm_distance",
-    "bfm_grid",
     "build_bba_matrix",
-    "build_psm",
     "chain_order",
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
     "enumerate_weak_orders",
-    "frobenius_distance",
     "indirect_distance",
     "indirect_psm",
     "jousselme_distance",

@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from functools import cached_property
 from itertools import chain, repeat
 from typing import IO, Any
 
@@ -183,8 +182,8 @@ class BbaMatrix:
     """N x N grid of mass functions; cell (i, j) judges object i against object j.
 
     ``masses`` holds the (n, n, 8) mass vectors, read-only, copied from any
-    array-like (nested MassFunctions too) and checked by the mass rule.
-    ``cells`` is built from it when read.  Grids compare and hash by value.
+    array-like (nested MassFunctions too) and checked by the mass rule; cell
+    (i, j) is ``MassFunction(masses[i, j])``.  Grids compare and hash by value.
     """
 
     masses: NDArray[np.float64]
@@ -209,10 +208,6 @@ class BbaMatrix:
     @property
     def n(self) -> int:
         return len(self.masses)
-
-    @cached_property
-    def cells(self) -> tuple[tuple[MassFunction, ...], ...]:
-        return tuple(tuple(map(MassFunction, row)) for row in self.masses.tolist())
 
 
 def build_bba_matrix(ppo: WeakOrder) -> BbaMatrix:

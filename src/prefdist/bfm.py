@@ -59,7 +59,8 @@ class BfmReport:
     @property
     def grid(self) -> NDArray[np.float64]:
         """The normalized grid, sqrt(squared) / maximum, built on each read."""
-        return _normalized(self.squared, self.maximum)
+        grid = np.sqrt(self.squared, dtype=np.float64)  # a bare sqrt of uint8 is float16
+        return np.divide(grid, self.maximum, out=grid)
 
     @property
     def n_ctpo(self) -> tuple[int, int]:
@@ -105,26 +106,6 @@ def _squared_grid(
     grid += 2 * np.einsum("ij,ij->i", u, u)[:, None]
     grid += 2 * np.einsum("ij,ij->i", v, v)
     return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
-
-
-def _normalized(squared: NDArray[np.unsignedinteger], maximum: float) -> NDArray[np.float64]:
-    grid = np.sqrt(squared, dtype=np.float64)  # a bare sqrt of uint8 is float16
-    return np.divide(grid, maximum, out=grid)
-
-
-def bfm_grid(
-    ppo1: WeakOrder,
-    ppo2: WeakOrder,
-    *,
-    cap: int | None = None,
-) -> NDArray[np.float64]:
-    """Normalized distances between every completion of ppo1 and of ppo2.
-
-    Rows follow the deterministic enumeration order of ppo1's completions,
-    columns that of ppo2's.  Raises CapExceededError, before generating any
-    completion, when it would have more than GRID_CELL_LIMIT cells.
-    """
-    return _normalized(*_squared_grid(ppo1, ppo2, cap))
 
 
 def bfm_distance(

@@ -68,7 +68,7 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     lexicographic order of their rank vectors.
     """
     _check_size(n, cap)
-    return map(WeakOrder.from_ranks, map(np.ndarray.tolist, _completions((-1,) * n)))
+    return map(WeakOrder._dense, map(tuple, map(np.ndarray.tolist, _completions((-1,) * n))))
 
 
 def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
@@ -98,7 +98,7 @@ class CompatibleSet:
 
     @cached_property
     def ctpos(self) -> tuple[WeakOrder, ...]:
-        return tuple(map(WeakOrder.from_ranks, self.ranks.tolist()))
+        return tuple(map(WeakOrder._dense, map(tuple, self.ranks.tolist())))
 
     @property
     def count(self) -> int:

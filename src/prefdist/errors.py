@@ -37,10 +37,6 @@ class DimensionMismatchError(PrefdistError):
     """Operands are defined over universes of different sizes."""
 
 
-class ConventionMismatchError(PrefdistError):
-    """Score matrices built under different conventions cannot be compared."""
-
-
 class DegenerateUniverseError(PrefdistError):
     """Fewer than two objects: the maximal distance is zero."""
 

@@ -168,29 +168,10 @@ class WeakOrder:
         return vector
 
     def relation_codes(self) -> NDArray[np.int8]:
-        """N x N codes with ``list(PairRelation)[codes[i, j]] is self.relation(i, j)``:
-        SUCC 0, EQUIV 1 (also the diagonal), PREC 2, UNKNOWN 3."""
+        """N x N codes; ``list(PairRelation)[codes[i, j]]`` compares object i with
+        object j: SUCC 0 (i preferred), EQUIV 1 (tied, and the diagonal), PREC 2,
+        UNKNOWN 3 (i or j unmentioned)."""
         return _relation_codes(self.rank_tuple)[0]
-
-    def ranks(self) -> dict[int, int]:
-        """Class position of every mentioned index (0 = most preferred)."""
-        return {idx: pos for idx, pos in enumerate(self.rank_tuple) if pos >= 0}
-
-    def relation(self, i: int, j: int) -> PairRelation:
-        """Compare objects i and j; UNKNOWN when either is unmentioned (i != j)."""
-        for idx in (i, j):
-            if not 0 <= idx < self.universe_size:
-                raise IndexOutOfRangeError(
-                    f"object index {idx} outside [0, {self.universe_size})"
-                )
-        if i == j:
-            return PairRelation.EQUIV
-        ri, rj = self.rank_tuple[i], self.rank_tuple[j]
-        if ri < 0 or rj < 0:
-            return PairRelation.UNKNOWN
-        if ri == rj:
-            return PairRelation.EQUIV
-        return PairRelation.SUCC if ri < rj else PairRelation.PREC
 
     def reverse(self) -> "WeakOrder":
         """Same tie-classes in the opposite sequence."""

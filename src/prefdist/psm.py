@@ -1,20 +1,20 @@
-"""Preference-score matrices, and the pair-category rule of every order-based distance.
+"""The classical distance, and the pair-category rule of every order-based distance.
 
-A cell of a score matrix, a direct mass grid or an indirect score matrix is a
-lookup on its pair's relation code (see :meth:`WeakOrder.relation_codes`), so
-each distance counts the cells per pair of codes and weighs them by a cost table.
+A cell of a preference score matrix, a direct mass grid or an indirect score
+matrix is a lookup on its pair's relation code (see
+:meth:`WeakOrder.relation_codes`), so each distance counts the cells per pair
+of codes and weighs them by a cost table, without building any matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConventionMismatchError, DimensionMismatchError, NotTotalError
+from .errors import NotTotalError
 from .model import WeakOrder, _relation_codes, common_size
 
 
@@ -23,14 +23,6 @@ class PsmConvention(Enum):
 
     SIGNED = "signed"  # +1 preferred / -1 dispreferred / 0 tied; anti-symmetric
     UNIT = "unit"  # 1 preferred / 0 dispreferred / 0.5 tied; M + M^T = ones
-
-
-@dataclass(frozen=True, eq=False)
-class PreferenceScoreMatrix:
-    """N x N pairwise score matrix; entry (i, j) scores object i against object j."""
-
-    entries: NDArray[np.float64]
-    convention: PsmConvention
 
 
 def pair_cost(values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -68,38 +60,6 @@ _CODE_SCORE = {
 _COST = {convention: pair_cost(score) for convention, score in _CODE_SCORE.items()}
 
 
-def _check_total(*orders: WeakOrder) -> None:
-    if not all(order.is_total for order in orders):
-        raise NotTotalError("ordering does not mention every object in the universe")
-
-
-def build_psm(
-    tpo: WeakOrder, convention: PsmConvention = PsmConvention.SIGNED
-) -> PreferenceScoreMatrix:
-    """Score matrix of a total order.
-
-    Raises NotTotalError when the order leaves any object unmentioned: a
-    partial order has no well-defined score for the missing pairs.
-    """
-    _check_total(tpo)
-    return PreferenceScoreMatrix(_CODE_SCORE[convention][tpo.relation_codes()], convention)
-
-
-def frobenius_distance(
-    m1: PreferenceScoreMatrix, m2: PreferenceScoreMatrix
-) -> float:
-    """Square root of the summed squared entrywise differences."""
-    if m1.entries.shape != m2.entries.shape:
-        raise DimensionMismatchError(
-            f"matrix shapes differ: {m1.entries.shape} vs {m2.entries.shape}"
-        )
-    if m1.convention is not m2.convention:
-        raise ConventionMismatchError(
-            f"cannot mix conventions {m1.convention.value} and {m2.convention.value}"
-        )
-    return float(np.linalg.norm(m1.entries - m2.entries))
-
-
 def max_psm_distance(n: int, convention: PsmConvention = PsmConvention.SIGNED) -> float:
     """Distance between the score matrices of the strict chain over n objects
     and of its reversal: the normalization constant, 2*sqrt(n(n-1)) signed or
@@ -107,17 +67,16 @@ def max_psm_distance(n: int, convention: PsmConvention = PsmConvention.SIGNED) -
     return max_distance(common_size(n, n), _COST[convention])
 
 
-def normalized_distance(
-    tpo1: WeakOrder,
-    tpo2: WeakOrder,
-    convention: PsmConvention = PsmConvention.SIGNED,
-) -> float:
+def normalized_distance(tpo1: WeakOrder, tpo2: WeakOrder) -> float:
     """Frobenius distance between the score matrices of two total orders, scaled into [0, 1].
 
-    The value is the same under both conventions: unit-convention matrices
-    are an affine rescaling of signed ones, and the normalization cancels it.
+    Both conventions give the same bits, so it takes none: the unit costs are
+    the signed costs / 4, and the root of a sum scaled by 4 is exactly twice
+    the root of the sum.  Raises NotTotalError when either order leaves an
+    object unmentioned.
     """
     n = common_size(tpo1.universe_size, tpo2.universe_size)
-    _check_total(tpo1, tpo2)
-    cost = _COST[convention]
+    if not (tpo1.is_total and tpo2.is_total):
+        raise NotTotalError("ordering does not mention every object in the universe")
+    cost = _COST[PsmConvention.SIGNED]
     return category_distance(tpo1, tpo2, cost) / max_distance(n, cost)

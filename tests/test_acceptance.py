@@ -20,14 +20,11 @@ from prefdist import (
     ObjectUniverse,
     PsmConvention,
     bfm_distance,
-    bfm_grid,
-    build_psm,
     build_bba_matrix,
     chain_order,
     compatible_tpos,
     direct_distance,
     enumerate_weak_orders,
-    frobenius_distance,
     indirect_distance,
     indirect_psm,
     max_psm_distance,
@@ -35,6 +32,9 @@ from prefdist import (
     parse_preference,
     render_preference,
 )
+from prefdist.psm import _CODE_SCORE
+
+from test_differential import reference_build_psm
 
 TOL = 5e-5
 
@@ -68,16 +68,12 @@ def criterion(num, description):
 @criterion(1, "classical normalized distance 0.5774 under both conventions")
 def test_criterion_01_classical_pair():
     p1, p2 = pref("B > A > C"), pref("B > C > A")
-    raw_signed = frobenius_distance(
-        build_psm(p1, PsmConvention.SIGNED), build_psm(p2, PsmConvention.SIGNED)
-    )
-    raw_unit = frobenius_distance(
-        build_psm(p1, PsmConvention.UNIT), build_psm(p2, PsmConvention.UNIT)
-    )
+    normalized = normalized_distance(p1, p2)
+    raw_signed = normalized * max_psm_distance(3, PsmConvention.SIGNED)
+    raw_unit = normalized * max_psm_distance(3, PsmConvention.UNIT)
     assert abs(raw_signed - math.sqrt(8)) < TOL
     assert abs(raw_unit - math.sqrt(2)) < TOL
-    assert abs(normalized_distance(p1, p2, PsmConvention.SIGNED) - 0.5774) < TOL
-    assert abs(normalized_distance(p1, p2, PsmConvention.UNIT) - 0.5774) < TOL
+    assert abs(normalized - 0.5774) < TOL
 
 
 @criterion(2, "weak-order enumeration matches the independent count oracle")
@@ -128,7 +124,8 @@ def test_criterion_04_brute_force_grid():
                         "A > (B = C)": 16, "(A = C) > B": 12},
     }
     ppo1, ppo2 = pref("C > A"), pref("A > B")
-    grid = bfm_grid(ppo1, ppo2)
+    report = bfm_distance(ppo1, ppo2)
+    grid = report.grid
     rows = [text(t) for t in compatible_tpos(ppo1).ctpos]
     cols = [text(t) for t in compatible_tpos(ppo2).ctpos]
     checked = 0
@@ -139,7 +136,6 @@ def test_criterion_04_brute_force_grid():
             checked += 1
     assert checked == 25
 
-    report = bfm_distance(ppo1, ppo2)
     assert report.optim == 0.0
     assert report.pessim == 1.0
     assert abs(report.aver - 0.6966) < TOL
@@ -258,29 +254,30 @@ def test_criterion_10_property_suites():
         for i, j, k in itertools.product(range(size), repeat=3):
             assert table[i, k] <= table[i, j] + table[j, k] + 1e-12, name
 
-    # convention invariance over all pairs
-    for a, b in itertools.product(orders, orders):
-        assert abs(
-            normalized_distance(a, b, PsmConvention.SIGNED)
-            - normalized_distance(a, b, PsmConvention.UNIT)
-        ) < 1e-12
+    # convention invariance over all pairs: either convention's score matrices
+    # give the classical distance
+    for convention in PsmConvention:
+        matrices = [reference_build_psm(order, convention) for order in orders]
+        for (a, m1), (b, m2) in itertools.product(zip(orders, matrices), repeat=2):
+            raw = float(np.linalg.norm(m1 - m2))
+            assert abs(raw / max_psm_distance(3, convention) - normalized_distance(a, b)) < 1e-12
 
     # signed score matrices are anti-symmetric
     for order in orders:
-        entries = build_psm(order, PsmConvention.SIGNED).entries
+        entries = _CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
         assert np.array_equal(entries.T, -entries)
 
     # mass grids mirror across the diagonal
     for order in orders:
-        cells = build_bba_matrix(order).cells
+        masses = build_bba_matrix(order).masses
         for i in range(3):
             for j in range(3):
-                assert cells[j][i] == cells[i][j].swapped()
+                assert MassFunction(masses[j, i]) == MassFunction(masses[i, j]).swapped()
 
     # chain reversal attains the exhaustive raw maxima
+    matrices = [reference_build_psm(order, PsmConvention.SIGNED) for order in orders]
     classical_raw = max(
-        frobenius_distance(build_psm(a), build_psm(b))
-        for a, b in itertools.product(orders, orders)
+        float(np.linalg.norm(m1 - m2)) for m1, m2 in itertools.product(matrices, matrices)
     )
     assert abs(classical_raw - math.sqrt(24)) < TOL
     assert abs(classical_raw - max_psm_distance(3)) < TOL

@@ -14,7 +14,6 @@ from prefdist import (
     DimensionMismatchError,
     WeakOrder,
     bfm_distance,
-    bfm_grid,
     chain_order,
     compatible_tpos,
     enumerate_weak_orders,
@@ -61,7 +60,7 @@ def worked_pair(abc):
 class TestGrid:
     def test_every_golden_cell(self, abc, worked_pair):
         ppo1, ppo2 = worked_pair
-        grid = bfm_grid(ppo1, ppo2)
+        grid = bfm_distance(ppo1, ppo2).grid
         rows = [render_preference(t, abc) for t in compatible_tpos(ppo1).ctpos]
         cols = [render_preference(t, abc) for t in compatible_tpos(ppo2).ctpos]
         assert grid.shape == (5, 5)
@@ -71,35 +70,35 @@ class TestGrid:
                 assert value == pytest.approx(math.sqrt(k / 24)), (row_name, col_name)
 
     def test_full_contradiction_cell_is_one(self, abc, worked_pair):
-        grid = bfm_grid(*worked_pair)
+        grid = bfm_distance(*worked_pair).grid
         rows = [render_preference(t, abc) for t in compatible_tpos(worked_pair[0]).ctpos]
         cols = [render_preference(t, abc) for t in compatible_tpos(worked_pair[1]).ctpos]
         assert grid[rows.index("B > C > A"), cols.index("A > C > B")] == pytest.approx(1.0)
 
     def test_entries_lie_in_unit_interval(self, worked_pair):
-        grid = bfm_grid(*worked_pair)
+        grid = bfm_distance(*worked_pair).grid
         assert np.all(grid >= 0.0) and np.all(grid <= 1.0 + 1e-12)
 
     def test_total_pair_gives_singleton_grid(self, pref):
-        grid = bfm_grid(pref("A > B > C"), pref("A > B > C"))
+        grid = bfm_distance(pref("A > B > C"), pref("A > B > C")).grid
         assert grid.shape == (1, 1)
         assert grid[0, 0] == 0.0
 
     def test_universe_mismatch(self, pref):
         with pytest.raises(DimensionMismatchError):
-            bfm_grid(pref("C > A"), next(enumerate_weak_orders(4)))
+            bfm_distance(pref("C > A"), next(enumerate_weak_orders(4)))
 
     def test_degenerate_universe(self):
         single = next(enumerate_weak_orders(1))
         with pytest.raises(DegenerateUniverseError):
-            bfm_grid(single, single)
+            bfm_distance(single, single)
 
     def test_grid_over_the_cell_limit_is_refused(self, monkeypatch, worked_pair):
         monkeypatch.setattr(prefdist.bfm, "GRID_CELL_LIMIT", 24)
         with pytest.raises(CapExceededError, match="5 x 5 .* 24 cells"):
-            bfm_grid(*worked_pair)
+            bfm_distance(*worked_pair)
         monkeypatch.setattr(prefdist.bfm, "GRID_CELL_LIMIT", 25)
-        assert bfm_grid(*worked_pair).shape == (5, 5)
+        assert bfm_distance(*worked_pair).grid.shape == (5, 5)
 
     def test_grid_over_the_cell_limit_is_refused_before_any_completion(self, monkeypatch):
         def generate(fixed):
@@ -108,9 +107,9 @@ class TestGrid:
         monkeypatch.setattr(prefdist.enumeration, "_completions", generate)
         message = "a 545835 x 545835 completion grid exceeds the limit of 21930489 cells"
         with pytest.raises(CapExceededError, match=f"^{message}$"):
-            bfm_grid(WeakOrder(((0,),), 8), WeakOrder(((1,),), 8))
+            bfm_distance(WeakOrder(((0,),), 8), WeakOrder(((1,),), 8))
         with pytest.raises(CapExceededError, match="^n=9 exceeds the enumeration cap 8$"):
-            bfm_grid(WeakOrder(((0,),), 9), WeakOrder(((1,),), 9))
+            bfm_distance(WeakOrder(((0,),), 9), WeakOrder(((1,),), 9))
 
     def test_squared_grid_holds_the_golden_integers(self, abc, worked_pair):
         report = bfm_distance(*worked_pair)

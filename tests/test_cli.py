@@ -134,12 +134,12 @@ class TestDist:
         assert payload["normalized"] == expected.normalized
 
     def test_bfm_grid_is_the_library_grid(self, capsys):
-        from prefdist import ObjectUniverse, bfm_grid, parse_preference
+        from prefdist import ObjectUniverse, bfm_distance, parse_preference
 
         universe = ObjectUniverse(("A", "B", "C", "D"))
-        expected = bfm_grid(
+        expected = bfm_distance(
             parse_preference("D>A", universe), parse_preference("(A=B)>C", universe)
-        )
+        ).grid
         payload = run_json(
             capsys,
             "dist", "--method", "bfm", "--objects", "A,B,C,D",
@@ -581,7 +581,12 @@ def parse_outcome(parse, argv):
     except SystemExit as exc:
         return exc.code, out.getvalue(), err.getvalue()
     assert out.getvalue() == err.getvalue() == ""
-    return {key: value for key, value in vars(args).items() if key != "command"}
+    # a NaN (``--alpha nan``) is unequal to itself, so it is compared by its text
+    return {
+        key: repr(value) if value != value else value
+        for key, value in vars(args).items()
+        if key != "command"
+    }
 
 
 @contextlib.contextmanager
@@ -620,7 +625,8 @@ DISPATCH_ARGVS = [
     ["dist", "--objects=A,B", "--pref1=A", "--pref2=B"],
     ["dist", "--obj", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"],
     ["dist", "--objects", "A,B,C", "--pref", "C>A", "--pref2", "A>B"],  # ambiguous
-    DIST + ["--method", "kendall"], DIST + ["--alpha", "x"], DIST + ["--cap"],
+    DIST + ["--method", "kendall"], DIST + ["--alpha", "x"], DIST + ["--alpha", "nan"],
+    DIST + ["--cap"],
     ["dist"], ["dist-general"], ["compatible", "--objects", "A,B"], ["enumerate", "--n", "-1"],
 ]
 

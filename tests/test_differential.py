@@ -46,7 +46,6 @@ from prefdist import (
     NotTotalError,
     ObjectUniverse,
     PairRelation,
-    PreferenceScoreMatrix,
     PreferenceSyntaxError,
     PrefdistError,
     PsmConvention,
@@ -56,15 +55,12 @@ from prefdist import (
     bba_from_relation,
     belief_interval_distance,
     bfm_distance,
-    bfm_grid,
     build_bba_matrix,
-    build_psm,
     chain_order,
     compatible_tpos,
     direct_distance,
     direct_distance_general,
     enumerate_weak_orders,
-    frobenius_distance,
     indirect_distance,
     indirect_psm,
     jousselme_distance,
@@ -78,7 +74,7 @@ from prefdist import bfm, cli
 from prefdist.belief import _DIRECT_COST
 from prefdist.enumeration import _completions
 from prefdist.model import _LABEL, _relation_codes, render_ranks
-from prefdist.psm import _COST, _category_counts
+from prefdist.psm import _CODE_SCORE, _COST, _category_counts
 
 from strategies import all_partial_orders, preference_texts, weak_orders
 
@@ -118,7 +114,7 @@ def reference_grid_array(rows):
 
 
 def reference_grid_distance(b1, b2):
-    a1, a2 = (reference_grid_array([[c.masses for c in row] for row in b.cells]) for b in (b1, b2))
+    a1, a2 = (reference_grid_array(b.masses.tolist()) for b in (b1, b2))
     return float(np.linalg.norm(a1 - a2))
 
 
@@ -190,12 +186,12 @@ def reference_direct_max(n):
 
 def reference_indirect_psm(order, metric):
     distance = REFERENCE_METRIC[metric]
-    cells = reference_bba_matrix(order).cells
     n = order.universe_size
     entries = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            entries[i, j] = distance(cells[i][j], SUCC_CERTAIN)
+            cell = bba_from_relation(reference_relation(order, i, j))
+            entries[i, j] = distance(cell, SUCC_CERTAIN)
     return entries
 
 
@@ -272,17 +268,16 @@ def reference_compatible_tpos(ppo):
 
 
 def reference_build_psm(tpo, convention):
+    """The score matrix of a total order: entry (i, j) scores object i against object j."""
     r = tpo.rank_vector.astype(np.float64)
     signed = np.sign(r[None, :] - r[:, None])
-    entries = signed if convention is PsmConvention.SIGNED else (signed + 1.0) / 2.0
-    return PreferenceScoreMatrix(entries, convention)
+    return signed if convention is PsmConvention.SIGNED else (signed + 1.0) / 2.0
 
 
 def reference_max_psm_distance(n, convention):
     chain = chain_order(n)
-    return frobenius_distance(
-        reference_build_psm(chain, convention), reference_build_psm(chain.reverse(), convention)
-    )
+    m1, m2 = (reference_build_psm(order, convention) for order in (chain, chain.reverse()))
+    return float(np.linalg.norm(m1 - m2))
 
 
 def reference_bfm_grid(ppo1, ppo2, convention):
@@ -292,7 +287,7 @@ def reference_bfm_grid(ppo1, ppo2, convention):
     grid = np.empty((len(psms1), len(psms2)))
     for i, m1 in enumerate(psms1):
         for j, m2 in enumerate(psms2):
-            grid[i, j] = frobenius_distance(m1, m2) / maximum
+            grid[i, j] = float(np.linalg.norm(m1 - m2)) / maximum
     return grid
 
 
@@ -768,8 +763,7 @@ class TestEncoding:
         assert codes.shape == (n, n) and codes.dtype == np.int8
         for i in range(n):
             for j in range(n):
-                assert order.relation(i, j) is reference_relation(order, i, j)
-                assert codes[i, j] == relations.index(order.relation(i, j))
+                assert codes[i, j] == relations.index(reference_relation(order, i, j))
 
     @given(weak_orders(max_n=MAX_N))
     def test_bba_matrix_matches_reference(self, order):
@@ -810,7 +804,8 @@ class TestCategoryCounts:
         assert stacked.dtype == np.int8 and stacked.shape == (len(orders), n, n)
         for order, codes in zip(orders, stacked):
             expected = [
-                [relations.index(order.relation(i, j)) for j in range(n)] for i in range(n)
+                [relations.index(reference_relation(order, i, j)) for j in range(n)]
+                for i in range(n)
             ]
             assert codes.tolist() == expected
             assert np.array_equal(order.relation_codes(), codes)
@@ -885,7 +880,7 @@ class TestBruteForce:
             for a in orders:
                 assert_completions_match_reference(a)
             for a, b in itertools.product(orders, repeat=2):
-                grid = bfm_grid(a, b)
+                grid = bfm_distance(a, b).grid
                 assert np.array_equal(grid, reference_bfm_grid(a, b, convention)), (a, b)
 
     @settings(deadline=None, max_examples=40)
@@ -894,7 +889,7 @@ class TestBruteForce:
         a, b = pair
         for order in pair:
             assert_completions_match_reference(order)
-        assert np.array_equal(bfm_grid(a, b), reference_bfm_grid(a, b, convention))
+        assert np.array_equal(bfm_distance(a, b).grid, reference_bfm_grid(a, b, convention))
 
     @pytest.mark.parametrize(
         "text1, text2",
@@ -910,7 +905,7 @@ class TestBruteForce:
         for order in (a, b):
             assert_completions_match_reference(order)
         for convention in PsmConvention:
-            assert np.array_equal(bfm_grid(a, b), reference_bfm_grid(a, b, convention))
+            assert np.array_equal(bfm_distance(a, b).grid, reference_bfm_grid(a, b, convention))
 
 
 @st.composite
@@ -939,8 +934,9 @@ class TestWeakOrderModel:
         assert vector.dtype == np.int64 and not vector.flags.writeable
         assert vector.tolist() == ref.rank_vector.tolist()
         assert (order.mentioned, order.is_total) == (ref.mentioned, ref.is_total)
+        codes = order.relation_codes()
         for i, j in itertools.product(range(n), repeat=2):
-            assert order.relation(i, j) is ref.relation(i, j)
+            assert list(PairRelation)[codes[i, j]] is ref.relation(i, j)
         assert order.reverse().classes == ref.reverse().classes
         subset = data.draw(st.sets(st.sampled_from(sorted(ref.mentioned or {0}))))
         subset &= ref.mentioned
@@ -1083,8 +1079,8 @@ def test_integer_grid_against_the_float_gram_product():
     for a, b in PAIRS_UP_TO_FOUR:
         expected = float_gram_grid(a, b)
         report = bfm_distance(a, b, alpha=0.3)
-        for grid in (bfm_grid(a, b), report.grid):
-            assert grid.dtype == np.float64 and grid.tobytes() == expected.tobytes(), (a, b)
+        grid = report.grid
+        assert grid.dtype == np.float64 and grid.tobytes() == expected.tobytes(), (a, b)
         optim, pessim = float(expected.min()), float(expected.max())
         assert (report.optim, report.pessim) == (optim, pessim), (a, b)
         assert report.hurwicz == 0.3 * optim + 0.7 * pessim, (a, b)
@@ -1100,10 +1096,10 @@ def test_max_psm_distance_is_exact(n, convention):
 
 @pytest.mark.parametrize("convention", list(PsmConvention))
 @pytest.mark.parametrize("n", range(1, 6))
-def test_build_psm_is_bitwise_the_per_order_construction(n, convention):
+def test_score_table_is_bitwise_the_per_order_construction(n, convention):
     for order in enumerate_weak_orders(n):
-        entries = build_psm(order, convention).entries
-        expected = reference_build_psm(order, convention).entries
+        entries = _CODE_SCORE[convention][order.relation_codes()]
+        expected = reference_build_psm(order, convention)
         assert entries.dtype == expected.dtype and entries.shape == expected.shape
         assert entries.tobytes() == expected.tobytes(), order
 
@@ -1114,8 +1110,8 @@ TOTAL_PAIRS_UP_TO_FOUR = [
 
 
 def reference_normalized_distance(a, b, convention):
-    raw = frobenius_distance(reference_build_psm(a, convention), reference_build_psm(b, convention))
-    return raw / reference_max_psm_distance(a.universe_size, convention)
+    m1, m2 = (reference_build_psm(order, convention) for order in (a, b))
+    return float(np.linalg.norm(m1 - m2)) / reference_max_psm_distance(a.universe_size, convention)
 
 
 class TestClassicalDistance:
@@ -1126,12 +1122,12 @@ class TestClassicalDistance:
     def test_every_pair_of_total_orders_up_to_four(self, convention):
         for a, b in TOTAL_PAIRS_UP_TO_FOUR:
             expected = reference_normalized_distance(a, b, convention)
-            assert normalized_distance(a, b, convention) == expected, (a, b)
+            assert normalized_distance(a, b) == expected, (a, b)
 
     @given(pair=order_pairs(max_n=8, total=True), convention=st.sampled_from(list(PsmConvention)))
     def test_random_pairs_up_to_eight_objects(self, pair, convention):
         expected = reference_normalized_distance(*pair, convention)
-        assert normalized_distance(*pair, convention) == expected
+        assert normalized_distance(*pair) == expected
 
     def test_cost_tables_hold_their_hand_values(self):
         assert np.array_equal(_DIRECT_COST, 2 * (1 - np.eye(4)))
@@ -1139,14 +1135,13 @@ class TestClassicalDistance:
         assert np.array_equal(_COST[PsmConvention.SIGNED], signed)
         assert np.array_equal(_COST[PsmConvention.UNIT], signed / 4)
 
-    @pytest.mark.parametrize("convention", list(PsmConvention))
-    def test_a_partial_operand_is_rejected(self, convention):
+    def test_a_partial_operand_is_rejected(self):
         total = chain_order(3)
         for partial in all_partial_orders(3):
             if not partial.is_total:
                 for pair in ((partial, total), (total, partial)):
                     with pytest.raises(NotTotalError):
-                        normalized_distance(*pair, convention)
+                        normalized_distance(*pair)
 
     def test_a_size_mismatch_is_named_before_a_partial_operand(self):
         for a, b in itertools.permutations([WeakOrder([[0]], 3), chain_order(4)]):

@@ -61,11 +61,7 @@ class TestEnumerateWeakOrders:
         assert all(o.is_total for o in orders)
 
     def test_deterministic_lexicographic_rank_vectors(self):
-        def rank_vector(order):
-            ranks = order.ranks()
-            return tuple(ranks[i] for i in range(order.universe_size))
-
-        vectors = [rank_vector(o) for o in enumerate_weak_orders(4)]
+        vectors = [o.rank_tuple for o in enumerate_weak_orders(4)]
         assert vectors == sorted(vectors)
 
     def test_repeatable(self):
@@ -151,3 +147,16 @@ class TestCompatibleTpos:
     def test_completion_count_matches_the_generated_completions(self, n):
         for order in all_partial_orders(n):
             assert _completion_count(order) == compatible_tpos(order).count, order
+
+
+def test_generated_rows_skip_the_density_check(monkeypatch, pref):
+    """Generated rows are dense by construction, so the orders built from them
+    do not pass through the checked ``WeakOrder.from_ranks``."""
+    expected = (list(enumerate_weak_orders(4)), compatible_tpos(pref("C > A")).ctpos)
+
+    def refuse(*args):
+        raise AssertionError("a generated row went through from_ranks")
+
+    monkeypatch.setattr(WeakOrder, "from_ranks", classmethod(refuse))
+    assert list(enumerate_weak_orders(4)) == expected[0]
+    assert compatible_tpos(pref("C > A")).ctpos == expected[1]

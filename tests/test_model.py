@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from prefdist import (
@@ -164,28 +165,6 @@ class TestParse:
 
 
 class TestRelation:
-    def test_partial_order_known_pair(self, pref):
-        order = pref("C > A")
-        assert order.relation(2, 0) is PairRelation.SUCC
-        assert order.relation(0, 2) is PairRelation.PREC
-
-    def test_partial_order_unknown_pair(self, pref):
-        order = pref("C > A")
-        assert order.relation(1, 0) is PairRelation.UNKNOWN
-        assert order.relation(0, 1) is PairRelation.UNKNOWN
-
-    def test_self_comparison_is_tie_even_when_unmentioned(self, pref):
-        order = pref("C > A")
-        assert order.relation(1, 1) is PairRelation.EQUIV
-
-    def test_tied_pair(self, pref):
-        order = pref("C > (A = B)")
-        assert order.relation(0, 1) is PairRelation.EQUIV
-
-    def test_index_out_of_range(self, pref):
-        with pytest.raises(IndexOutOfRangeError):
-            pref("C > A").relation(0, 3)
-
     def test_rank_vector_marks_unmentioned_objects(self, pref):
         assert pref("C > A").rank_vector.tolist() == [1, -1, 0]
         assert pref("C > (A = B)").rank_vector.tolist() == [1, 1, 0]
@@ -195,18 +174,32 @@ class TestRelation:
             pref("C > A").rank_vector[1] = 0
 
     def test_relation_codes_of_a_partial_order(self, pref):
-        # SUCC 0, EQUIV 1, PREC 2, UNKNOWN 3; row object against column object
+        # SUCC 0, EQUIV 1, PREC 2, UNKNOWN 3; row object against column object.
+        # An unmentioned object (B) ties with itself and is unknown against the others.
         assert pref("C > A").relation_codes().tolist() == [
             [1, 3, 2],
             [3, 1, 3],
             [0, 3, 1],
         ]
+        assert pref("C > (A = B)").relation_codes().tolist() == [
+            [1, 1, 2],
+            [1, 1, 2],
+            [0, 0, 1],
+        ]
+        relations = list(PairRelation)
+        assert [relations[code] for code in pref("C > A").relation_codes()[2]] == [
+            PairRelation.SUCC,
+            PairRelation.UNKNOWN,
+            PairRelation.EQUIV,
+        ]
 
     def test_antisymmetry_over_all_orders_of_three(self):
+        relations = list(PairRelation)
         for order in enumerate_weak_orders(3):
+            codes = order.relation_codes()
             for i in range(3):
                 for j in range(3):
-                    forward, backward = order.relation(i, j), order.relation(j, i)
+                    forward, backward = relations[codes[i, j]], relations[codes[j, i]]
                     if forward is PairRelation.SUCC:
                         assert backward is PairRelation.PREC
                     elif forward is PairRelation.PREC:
@@ -254,9 +247,8 @@ class TestRestrict:
         for order in enumerate_weak_orders(4):
             restricted = order.restrict(subset)
             assert restricted.mentioned == frozenset(subset)
-            for i in subset:
-                for j in subset:
-                    assert restricted.relation(i, j) is order.relation(i, j)
+            kept = np.ix_(sorted(subset), sorted(subset))
+            assert np.array_equal(restricted.relation_codes()[kept], order.relation_codes()[kept])
 
 
 class TestRender:

@@ -5,83 +5,68 @@ import numpy as np
 import pytest
 
 from prefdist import (
-    ConventionMismatchError,
     DegenerateUniverseError,
     DimensionMismatchError,
     NotTotalError,
     PsmConvention,
-    build_psm,
     enumerate_weak_orders,
-    frobenius_distance,
     max_psm_distance,
     normalized_distance,
 )
+from prefdist.psm import _CODE_SCORE
+
+from test_differential import reference_build_psm
 
 TOL = 5e-5
 
 
-class TestBuildPsm:
+def scores(order, convention):
+    """The score matrix that the classical distance reads off the relation codes."""
+    return _CODE_SCORE[convention][order.relation_codes()]
+
+
+def raw_distance(a, b, convention):
+    """The unnormalized classical distance under ``convention``."""
+    return normalized_distance(a, b) * max_psm_distance(a.universe_size, convention)
+
+
+class TestScoreMatrix:
     def test_signed_worked_matrix(self, pref):
-        matrix = build_psm(pref("B > A > C"), PsmConvention.SIGNED)
+        entries = scores(pref("B > A > C"), PsmConvention.SIGNED)
         expected = [[0, -1, 1], [1, 0, 1], [-1, -1, 0]]
-        assert np.array_equal(matrix.entries, np.array(expected, dtype=float))
+        assert np.array_equal(entries, np.array(expected, dtype=float))
 
     def test_unit_worked_matrix(self, pref):
-        matrix = build_psm(pref("B > A > C"), PsmConvention.UNIT)
+        entries = scores(pref("B > A > C"), PsmConvention.UNIT)
         expected = [[0.5, 0, 1], [1, 0.5, 1], [0, 0, 0.5]]
-        assert np.array_equal(matrix.entries, np.array(expected))
+        assert np.array_equal(entries, np.array(expected))
 
     def test_all_ties_signed_is_zero(self, pref):
-        matrix = build_psm(pref("(A = B = C)"), PsmConvention.SIGNED)
-        assert np.array_equal(matrix.entries, np.zeros((3, 3)))
-
-    def test_partial_order_rejected(self, pref):
-        with pytest.raises(NotTotalError):
-            build_psm(pref("C > A"))
+        entries = scores(pref("(A = B = C)"), PsmConvention.SIGNED)
+        assert np.array_equal(entries, np.zeros((3, 3)))
 
     def test_signed_antisymmetry_over_all_orders_of_three(self):
         for order in enumerate_weak_orders(3):
-            entries = build_psm(order, PsmConvention.SIGNED).entries
+            entries = scores(order, PsmConvention.SIGNED)
             assert np.array_equal(entries.T, -entries)
             assert entries.trace() == 0.0
 
     def test_unit_complementarity_over_all_orders_of_three(self):
         for order in enumerate_weak_orders(3):
-            entries = build_psm(order, PsmConvention.UNIT).entries
+            entries = scores(order, PsmConvention.UNIT)
             assert np.array_equal(entries + entries.T, np.ones((3, 3)))
 
 
-class TestFrobeniusDistance:
+class TestRawDistance:
     def test_signed_worked_value(self, pref):
-        d = frobenius_distance(
-            build_psm(pref("B > A > C")), build_psm(pref("B > C > A"))
-        )
+        d = raw_distance(pref("B > A > C"), pref("B > C > A"), PsmConvention.SIGNED)
         assert d == pytest.approx(math.sqrt(8))
         assert d == pytest.approx(2.8284, abs=TOL)
 
     def test_unit_worked_value(self, pref):
-        d = frobenius_distance(
-            build_psm(pref("B > A > C"), PsmConvention.UNIT),
-            build_psm(pref("B > C > A"), PsmConvention.UNIT),
-        )
+        d = raw_distance(pref("B > A > C"), pref("B > C > A"), PsmConvention.UNIT)
         assert d == pytest.approx(math.sqrt(2))
         assert d == pytest.approx(1.4142, abs=TOL)
-
-    def test_identity(self, pref):
-        matrix = build_psm(pref("B > A > C"))
-        assert frobenius_distance(matrix, matrix) == 0.0
-
-    def test_dimension_mismatch(self, pref):
-        four = build_psm(next(enumerate_weak_orders(4)), PsmConvention.SIGNED)
-        with pytest.raises(DimensionMismatchError):
-            frobenius_distance(build_psm(pref("A > B > C")), four)
-
-    def test_convention_mismatch(self, pref):
-        with pytest.raises(ConventionMismatchError):
-            frobenius_distance(
-                build_psm(pref("A > B > C"), PsmConvention.SIGNED),
-                build_psm(pref("A > B > C"), PsmConvention.UNIT),
-            )
 
 
 class TestMaxDistance:
@@ -95,11 +80,8 @@ class TestMaxDistance:
     def test_two_objects_signed_against_brute_force(self):
         # independent oracle: exhaustive maximum over all weak-order pairs
         orders = list(enumerate_weak_orders(2))
-        brute = max(
-            frobenius_distance(build_psm(a), build_psm(b))
-            for a in orders
-            for b in orders
-        )
+        matrices = [reference_build_psm(order, PsmConvention.SIGNED) for order in orders]
+        brute = max(np.linalg.norm(m1 - m2) for m1 in matrices for m2 in matrices)
         assert max_psm_distance(2, PsmConvention.SIGNED) == pytest.approx(brute)
         assert brute == pytest.approx(math.sqrt(8))
 
@@ -119,43 +101,31 @@ class TestMaxDistance:
     def test_reversal_attains_exhaustive_maximum_at_three(self):
         for convention in PsmConvention:
             orders = list(enumerate_weak_orders(3))
-            brute = max(
-                frobenius_distance(build_psm(a, convention), build_psm(b, convention))
-                for a in orders
-                for b in orders
-            )
+            matrices = [reference_build_psm(order, convention) for order in orders]
+            brute = max(np.linalg.norm(m1 - m2) for m1 in matrices for m2 in matrices)
             assert brute == pytest.approx(max_psm_distance(3, convention))
 
 
 class TestNormalizedDistance:
-    def test_worked_value_both_conventions(self, pref):
+    def test_worked_value(self, pref):
         p1, p2 = pref("B > A > C"), pref("B > C > A")
-        for convention in PsmConvention:
-            assert normalized_distance(p1, p2, convention) == pytest.approx(
-                1 / math.sqrt(3)
-            )
-            assert normalized_distance(p1, p2, convention) == pytest.approx(
-                0.5774, abs=TOL
-            )
+        assert normalized_distance(p1, p2) == pytest.approx(1 / math.sqrt(3))
+        assert normalized_distance(p1, p2) == pytest.approx(0.5774, abs=TOL)
 
     def test_identical_orders(self, pref):
-        assert normalized_distance(pref("A > B > C"), pref("A > B > C")) == 0.0
+        for text in ("A > B > C", "B > A > C"):
+            assert normalized_distance(pref(text), pref(text)) == 0.0
 
     def test_partial_input_rejected(self, pref):
         with pytest.raises(NotTotalError):
             normalized_distance(pref("C > A"), pref("A > B > C"))
+        with pytest.raises(NotTotalError):
+            normalized_distance(pref("A > B > C"), pref("C > A"))
 
     def test_universe_size_mismatch(self, pref):
         other = next(enumerate_weak_orders(4))
         with pytest.raises(DimensionMismatchError):
             normalized_distance(pref("A > B > C"), other)
-
-    def test_convention_invariance_over_all_pairs_of_three(self):
-        orders = list(enumerate_weak_orders(3))
-        for a, b in itertools.product(orders, orders):
-            signed = normalized_distance(a, b, PsmConvention.SIGNED)
-            unit = normalized_distance(a, b, PsmConvention.UNIT)
-            assert abs(signed - unit) < 1e-12
 
     def test_values_lie_in_unit_interval(self):
         orders = list(enumerate_weak_orders(3))
