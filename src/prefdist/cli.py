@@ -23,7 +23,7 @@ from .belief import (
     load_bba_matrix,
 )
 from .bfm import Attitude, BfmReport, bfm_distance, grid_text
-from .enumeration import DEFAULT_ENUMERATION_CAP, _completion_rows
+from .enumeration import _completion_rows
 from .errors import (
     CapExceededError,
     DegenerateUniverseError,
@@ -71,12 +71,12 @@ def _parse_pref(text: str, universe: ObjectUniverse, field: str) -> WeakOrder:
         raise _UsageError(field, str(exc)) from None
 
 
-def _effective_cap(flag: int | None) -> int:
+def _effective_cap(flag: int | None) -> int | None:
     field, cap = "--cap", flag
     if flag is None:
         field, env = "PREFDIST_CAP", os.environ.get("PREFDIST_CAP")
         if env is None:
-            return DEFAULT_ENUMERATION_CAP
+            return None
         try:
             cap = int(env)
         except ValueError:

@@ -67,8 +67,8 @@ def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrd
     reached.  The sequence is deterministic and repeatable: orders appear in
     lexicographic order of their rank vectors.
     """
-    _check_size(n, cap)
-    return map(WeakOrder._dense, map(tuple, map(np.ndarray.tolist, _completions((-1,) * n))))
+    rows = _completion_rows((-1,) * n, cap)
+    return map(WeakOrder._dense, map(tuple, map(np.ndarray.tolist, rows)))
 
 
 def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
@@ -88,13 +88,14 @@ def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
 class CompatibleSet:
     """A partial order together with every total order that completes it.
 
-    ``ranks`` holds one completion per row, as a read-only rank vector; the
-    ``WeakOrder`` values are built from it only when ``ctpos`` is read.  The
-    completions are a function of ``ppo``, so sets compare and hash by it.
+    ``ranks`` is the generator's read-only array, one completion's rank vector
+    per row in the smallest signed type holding -1..n-1; the ``WeakOrder``
+    values are built from it only when ``ctpos`` is read.  The completions are
+    a function of ``ppo``, so sets compare and hash by it.
     """
 
     ppo: WeakOrder
-    ranks: NDArray[np.int64] = field(compare=False)
+    ranks: NDArray[np.signedinteger] = field(compare=False)
 
     @cached_property
     def ctpos(self) -> tuple[WeakOrder, ...]:
@@ -112,6 +113,6 @@ def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
     An order mentioning nothing is compatible with every total order; a total
     order only with itself.  Completions follow the enumeration order.
     """
-    ranks = _completion_rows(ppo.rank_tuple, cap).astype(np.int64)
+    ranks = _completion_rows(ppo.rank_tuple, cap)
     ranks.flags.writeable = False
     return CompatibleSet(ppo, ranks)

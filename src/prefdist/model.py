@@ -51,8 +51,8 @@ class PairRelation(Enum):
 
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
-_GROUP = rf"\s*(?:{_LABEL.pattern}|\(\s*{_LABEL.pattern}(?:\s*=\s*{_LABEL.pattern})+\s*\))\s*"
-_ORDERING = re.compile(rf"{_GROUP}(?:>{_GROUP})*")  # the grammar of the module docstring
+_GROUP = re.compile(r"\s*(?:{0}|\(\s*{0}(?:\s*=\s*{0})+\s*\))\s*".format(_LABEL.pattern))
+_ORDERING = re.compile("{0}(?:>{0})*".format(_GROUP.pattern))  # the grammar of the module docstring
 _T = TypeVar("_T")
 
 
@@ -239,46 +239,38 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
 
     Every identifier must name a universe object and may appear only once.
     """
-    if _ORDERING.fullmatch(text):
-        groups = "".join(text.split()).replace("(", "").replace(")", "").split(">")
-        ranks = [-1] * len(universe)
-        named = 0
-        try:
-            for pos, group in enumerate(groups):
-                members = group.split("=")
-                named += len(members)
-                for label in members:
-                    ranks[universe._positions[label]] = pos
-        except KeyError:
-            pass  # an unknown object: the walk below names it
-        else:
-            if ranks.count(-1) == len(ranks) - named:  # no object named twice: ranks are dense
-                return WeakOrder._dense(tuple(ranks))
-    # Only text that the fast path rejects gets here, to name its first fault.
-    if not text.strip():
-        raise EmptyExpressionError("empty preference expression")
-    groups: list[list[str]] = []
-    for part in text.split(">"):
-        group = part.strip()
-        tie = group.startswith("(") and group.endswith(")")
-        members = [label.strip() for label in group[1:-1].split("=")] if tie else [group]
-        if (tie and len(members) < 2) or not all(map(_LABEL.fullmatch, members)):
-            raise PreferenceSyntaxError(
-                f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
-                "or a tie of two or more names, such as '(A = B)'"
-            )
-        groups.append(members)
-
-    seen: set[str] = set()
+    if not _ORDERING.fullmatch(text):
+        if not text.strip():
+            raise EmptyExpressionError("empty preference expression")
+        group = next(filterfalse(_GROUP.fullmatch, text.split(">"))).strip()
+        raise PreferenceSyntaxError(
+            f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
+            "or a tie of two or more names, such as '(A = B)'"
+        )
+    groups = "".join(text.split()).replace("(", "").replace(")", "").split(">")
     ranks = [-1] * len(universe)
-    for pos, members in enumerate(groups):
-        for label in members:
-            if label in seen:
-                raise DuplicateObjectError(f"object {label!r} mentioned twice")
-            seen.add(label)
-        for label in members:
-            ranks[universe.index(label)] = pos
-    return WeakOrder.from_ranks(ranks)
+    named = 0
+    try:
+        for pos, group in enumerate(groups):
+            members = group.split("=")
+            named += len(members)
+            for label in members:
+                ranks[universe._positions[label]] = pos
+    except KeyError:
+        pass  # an unknown object: fewer ranks are set than names are read
+    if ranks.count(-1) != len(ranks) - named:
+        # An unknown or a repeated object: name the first, group by group,
+        # a repeat within a group before an unknown.
+        seen: set[str] = set()
+        for group in groups:
+            members = group.split("=")
+            for label in members:
+                if label in seen:
+                    raise DuplicateObjectError(f"object {label!r} mentioned twice")
+                seen.add(label)
+            for label in members:
+                universe.index(label)
+    return WeakOrder._dense(tuple(ranks))  # no object named twice: the ranks are dense
 
 
 def render_preference(order: WeakOrder, universe: ObjectUniverse) -> str:

@@ -89,6 +89,11 @@ class TestMassFunction:
         with pytest.raises(UnnormalizedMassError):
             MassFunction((0, 1))
 
+    @pytest.mark.parametrize("mask", [8, -1])
+    def test_mask_outside_the_frame_rejected(self, mask):
+        with pytest.raises(ValueError, match=f"subset mask must lie in 0..7, got {mask}$"):
+            MassFunction.from_masses({mask: 1.0})
+
     def test_swapped_exchanges_orientation(self):
         assert BAYESIAN.swapped().masses == (0, 0.5, 0.3, 0, 0.2, 0, 0, 0)
         mixed = MassFunction.from_masses({ATOM_SUCC | ATOM_EQUIV: 0.6, FULL_FRAME: 0.4})

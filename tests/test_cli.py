@@ -450,6 +450,10 @@ class TestEnumerateCommand:
         assert code == 0
         assert "(A = B = C)" in out.splitlines()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_n_exits_2(self, capsys, n):
+        assert run(capsys, "enumerate", "--n", n) == (2, "", "error: --n: must be at least 1\n")
+
     def test_cap_exceeded_exits_3(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "9")
         assert code == 3

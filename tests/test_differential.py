@@ -6,7 +6,9 @@ one metric call per cell, and maxima measured between the strict chain and
 its reversal; for mass-grid files, one mass vector parsed and checked per
 cell into a tuple grid; for the brute-force method, completions found by
 filtering every weak order that a per-object recursion generates, one score
-matrix built per order and one Frobenius distance per completion pair, and
+matrix built per order and one Frobenius distance per completion pair, the
+completions of an order that leaves at most one object out written down by
+their definition (for sizes that the filter cannot reach), and
 the float64 grid that a Gram product over whole score matrices gave; for
 the command line, one ``json.dumps`` of the whole reply and one ``repr`` per
 table cell; for preference text, a character-loop tokenizer and a
@@ -267,6 +269,23 @@ def reference_compatible_tpos(ppo):
     )
 
 
+def reference_insertions(order):
+    """The completions of an order that leaves at most one object out, by the
+    definition and not by enumeration, sorted by rank vector: a total order
+    completes only to itself, and the one unmentioned object either joins one
+    of the k classes or opens a new class in one of the k + 1 gaps."""
+    ranks = order.rank_tuple
+    if order.is_total:
+        return (order,)
+    obj, k = ranks.index(-1), max(ranks) + 1
+    rows = []
+    for gap in range(k + 1):
+        rows.append([gap if i == obj else r + (r >= gap) for i, r in enumerate(ranks)])
+        if gap < k:
+            rows.append([gap if i == obj else r for i, r in enumerate(ranks)])
+    return tuple(map(WeakOrder.from_ranks, sorted(rows)))
+
+
 def reference_build_psm(tpo, convention):
     """The score matrix of a total order: entry (i, j) scores object i against object j."""
     r = tpo.rank_vector.astype(np.float64)
@@ -280,10 +299,10 @@ def reference_max_psm_distance(n, convention):
     return float(np.linalg.norm(m1 - m2))
 
 
-def reference_bfm_grid(ppo1, ppo2, convention):
+def reference_bfm_grid(ppo1, ppo2, convention, completions=reference_compatible_tpos):
     maximum = reference_max_psm_distance(ppo1.universe_size, convention)
-    psms1 = [reference_build_psm(t, convention) for t in reference_compatible_tpos(ppo1)]
-    psms2 = [reference_build_psm(t, convention) for t in reference_compatible_tpos(ppo2)]
+    psms1 = [reference_build_psm(t, convention) for t in completions(ppo1)]
+    psms2 = [reference_build_psm(t, convention) for t in completions(ppo2)]
     grid = np.empty((len(psms1), len(psms2)))
     for i, m1 in enumerate(psms1):
         for j, m2 in enumerate(psms2):
@@ -863,10 +882,35 @@ class TestBruteForce:
     def test_completions_are_bitwise_the_recursive_generator(self, n):
         for order in all_partial_orders(n):
             rows = list(reference_rank_vectors(order.rank_vector.tolist()))
-            expected = np.array(rows, dtype=np.int64).reshape(-1, n)
+            expected = np.array(rows, dtype=np.min_scalar_type(-n)).reshape(-1, n)
             ranks = compatible_tpos(order).ranks
-            assert ranks.dtype == expected.dtype and ranks.shape == expected.shape, order
+            assert ranks.dtype == np.min_scalar_type(-n) and not ranks.flags.writeable, order
+            assert ranks.shape == expected.shape, order
             assert ranks.tobytes() == expected.tobytes(), order
+
+    def test_the_insertion_oracle_is_the_recursive_generator(self):
+        for n in range(1, 6):
+            for order in all_partial_orders(n):
+                if order.rank_tuple.count(-1) <= 1:
+                    rows = reference_rank_vectors(order.rank_tuple)
+                    assert reference_insertions(order) == tuple(map(WeakOrder.from_ranks, rows))
+
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_completions_at_the_rank_type_boundary(self, n):
+        """Rows are int8 up to n = 128, where a completion's rank reaches 127,
+        and int16 at n = 129."""
+        total = chain_order(n).reverse()
+        left_out = n // 2
+        partial = WeakOrder.from_ranks(
+            [-1 if i == left_out else i - (i > left_out) for i in range(n)]
+        )
+        for order in (total, partial):
+            ranks = compatible_tpos(order, cap=n).ranks
+            assert ranks.dtype == np.min_scalar_type(-n) == (np.int8 if n <= 128 else np.int16)
+            assert ranks.tolist() == [list(t.rank_tuple) for t in reference_insertions(order)]
+        grid = bfm_distance(partial, total, cap=n).grid
+        expected = reference_bfm_grid(partial, total, PsmConvention.SIGNED, reference_insertions)
+        assert grid.shape == (2 * n - 1, 1) and np.array_equal(grid, expected)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_weak_orders_follow_the_recursive_generator(self, n):

@@ -91,6 +91,10 @@ class TestWeakOrderConstruction:
         with pytest.raises(ValueError):
             WeakOrder(((0,), ()), 3)
 
+    def test_negative_universe_size_rejected(self):
+        with pytest.raises(ValueError, match="universe_size must be non-negative"):
+            WeakOrder((), -1)
+
     def test_empty_order_is_legal(self):
         order = WeakOrder((), 3)
         assert order.mentioned == frozenset()
