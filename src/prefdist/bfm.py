@@ -102,9 +102,11 @@ def _squared_grid(
         np.sign(ranks[:, j] - ranks[:, i]).astype(dtype)
         for ranks in (compatible_tpos(ppo1, cap=cap).ranks, compatible_tpos(ppo2, cap=cap).ranks)
     )
-    grid = u @ (-4 * v).T
+    v_norms = np.einsum("ij,ij->i", v, v)
+    v *= -4  # in place: v is astype's own copy, and a scaled copy could be the larger operand
+    grid = u @ v.T
     grid += 2 * np.einsum("ij,ij->i", u, u)[:, None]
-    grid += 2 * np.einsum("ij,ij->i", v, v)
+    grid += 2 * v_norms
     return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
 
 

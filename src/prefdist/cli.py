@@ -4,6 +4,15 @@ Exit codes: 0 success, 2 parse or validation failure (the diagnostic names
 the offending field), 3 enumeration cap or bfm grid-cell limit exceeded.
 The PREFDIST_CAP environment variable overrides the default cap; an explicit
 --cap flag wins over both.
+
+A plain call, the subcommand then only ``--flag value`` pairs, is read straight
+from that subcommand's option table (``_plain_args``), since argparse would cost
+more than parsing both orders: each flag is spelled in full, no value starts
+with ``-``, each value converts and passes its choices, and every required
+argument is given.  Any other call (help, ``--flag=value``, an abbreviation, a
+value such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s
+file paths) goes to argparse, which keeps its own messages and exit codes.  The
+table is read from the parsers of ``_build_parser``, the one grammar.
 """
 
 from __future__ import annotations
@@ -289,14 +298,66 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _store_options(
+    sub: argparse.ArgumentParser,
+) -> tuple[dict[str, argparse.Action], list[argparse.Action]]:
+    """``sub``'s store actions by full option string, and its required actions."""
+    options = {
+        flag: action
+        for action in sub._actions
+        if type(action) is argparse._StoreAction
+        for flag in action.option_strings
+    }
+    return options, [action for action in sub._actions if action.required]
+
+
+def _plain_args(sub: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
+    """The namespace ``sub`` parses from ``words`` if they are ``--flag value``
+    pairs it reads as they stand, every required argument among them; else None.
+
+    Each value is converted and checked as argparse does, and the last of a
+    repeated flag wins.  The defaults, ``handler`` included, are read from
+    ``sub`` on every call, so ``set_defaults`` still takes effect.
+    """
+    options, required = _store_options(sub)
+    if len(words) % 2:
+        return None
+    given = {}
+    for flag, text in zip(words[::2], words[1::2]):
+        action = options.get(flag)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if any(action.dest not in given for action in required):
+        return None
+    # argparse would convert a string default by its action's type; no action
+    # of _build_parser has both
+    defaults = {
+        action.dest: action.default
+        for action in sub._actions
+        if action.default is not argparse.SUPPRESS
+    }
+    return argparse.Namespace(**{**sub._defaults, **defaults, **given})
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = _build_parser()
     if argv and argv[0] in commands:
-        # what the top-level parser does with this argv, without first scanning it all
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+        sub = commands[argv[0]]
+        args = _plain_args(sub, argv[1:])
+        if args is None:  # help, a fault, or a spelling only argparse reads
+            # what the top-level parser does with this argv, without first scanning it all
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
     else:  # no command, help, an unknown command or a leading "--"
         args = parser.parse_args(argv)
     try:

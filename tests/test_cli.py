@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -632,6 +633,16 @@ DISPATCH_ARGVS = [
     DIST + ["--method", "kendall"], DIST + ["--alpha", "x"], DIST + ["--alpha", "nan"],
     DIST + ["--cap"],
     ["dist"], ["dist-general"], ["compatible", "--objects", "A,B"], ["enumerate", "--n", "-1"],
+    # plain calls: a repeated flag (the last one wins), an empty value, no flags at all
+    DIST + ["--method", "bfm", "--method", "indirect-j"], DIST + ["--pref1", ""], ["enumerate"],
+    # one of each kind that the plain path leaves to argparse
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A"],  # a required flag missing
+    DIST + ["--method", "kendall", "--method", "bfm"],  # a bad choice, then a good one
+    DIST + ["--cap", "x", "--cap", "5"],  # a bad type, then a good one
+    ["enumerate", "--n", ""],
+    DIST + ["--cap", "-1"], DIST + ["--alpha", "-0.5"],  # a value that starts with "-"
+    DIST + ["--pref1", "-A"], DIST + ["--pref1", "-"], DIST + ["--pref1", "-h"],
+    DIST + ["--pref1", "--help"], DIST + ["--pref1", "--"], DIST + ["--format=table"],
 ]
 
 
@@ -659,6 +670,65 @@ class TestDispatch:
     @given(argv=dispatch_argvs())
     def test_fuzzed_calls_parse_like_the_full_parser(self, argv):
         assert_dispatch_matches_the_full_parser(argv)
+
+
+class ReachedArgparse(Exception):
+    """Raised in place of any argparse parse."""
+
+
+@pytest.fixture
+def argparse_refused(monkeypatch):
+    """Make every argparse parse raise ReachedArgparse."""
+    cli._build_parser()  # declared before parsing is refused
+
+    def refuse(*args, **kwargs):
+        raise ReachedArgparse
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+
+
+#: The call shapes of the README and of the benchmark's ``dist`` ops.
+PLAIN_ARGVS = [
+    DIST,
+    ["dist", "--method", "bfm", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B",
+     "--attitude", "all"],
+    ["dist", "--method", "indirect-j", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"],
+    ["dist", "--method", "indirect-bi", "--objects", "o0,o1,o2,o3", "--pref1", "o1 > (o0 = o3)",
+     "--pref2", "o2 > o1"],
+    DIST + ["--method", "bfm", "--conv", "unit", "--alpha", "0.25", "--cap", "99",
+            "--format", "table"],
+    ["enumerate", "--n", "3", "--objects", "A,B,C"],
+    ["compatible", "--objects", "A,B,C", "--pref", "C>A"],
+]
+
+#: One call of each kind that only argparse reads.
+FALLBACK_ARGVS = [
+    [], ["-h"], ["dsit"], ["--"] + DIST,
+    ["dist-general", "one.json", "two.json"],  # positionals
+    DIST + ["--help"], ["dist", "-h"],
+    ["dist", "--obj", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"],  # an abbreviation
+    ["dist", "--objects=A,B,C", "--pref1", "C>A", "--pref2", "A>B"],
+    DIST + ["--pref1", "-A"], DIST + ["--cap", "-1"], DIST + ["--pref1", "--help"],
+    DIST + ["extra"], DIST + ["--cap"], ["dist", "--", "extra"],
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A"],  # a required flag missing
+    DIST + ["--method", "kendall"], DIST + ["--method", "kendall", "--method", "bfm"],
+    DIST + ["--alpha", "x"], ["enumerate", "--n", ""],
+]
+
+
+class TestPlainPath:
+    """Plain ``--flag value`` calls run without argparse; every other call reaches it."""
+
+    @pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+    def test_plain_calls_parse_without_argparse(self, capsys, argparse_refused, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.endswith("\n")
+
+    @pytest.mark.parametrize("argv", FALLBACK_ARGVS, ids=" ".join)
+    def test_every_other_call_reaches_argparse(self, argparse_refused, argv):
+        with pytest.raises(ReachedArgparse):
+            main(argv)
 
 
 class TestPreferenceTextFuzz:

@@ -87,11 +87,38 @@ def values(valid, invalid):
     return st.sampled_from(valid * 3 + invalid)
 
 
+#: An empty value and values that start with ``-``, drawn now and then into
+#: any value slot; argparse reads ``-A``, ``-h`` and ``--help`` there as flags.
+ODD_VALUES = ["", "-", "-A", "-1", "-h", "--help"]
+
+
+@st.composite
+def option(draw, name, drawn):
+    """``name`` with a value from the strategy ``drawn``, now and then an odd
+    one, spelled as two words or, one time in four, as ``name=value``; now
+    and then given twice, where the last one counts."""
+    words = []
+    for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+        odd = draw(st.integers(0, 19)) == 0
+        value = draw(st.sampled_from(ODD_VALUES) if odd else drawn)
+        words += draw(st.sampled_from([[name, value]] * 3 + [[f"{name}={value}"]]))
+    return words
+
+
 def flag(name, valid, invalid):
-    """``--name=value`` for a drawn value, or nothing; the ``=`` keeps a value
-    that starts with ``-`` from reading as a flag."""
-    drawn = values(valid, invalid).map(lambda value: [f"{name}={value}"])
-    return st.one_of(st.just([]), drawn)
+    """``name`` with a value from ``valid`` or ``invalid``, or nothing."""
+    return st.one_of(st.just([]), option(name, values(valid, invalid)))
+
+
+def last_value(argv, name):
+    """The value of the last ``name`` in ``argv``, in either spelling, or None."""
+    found = None
+    for word, following in zip(argv, argv[1:] + [None]):
+        if word == name:
+            found = following
+        elif word.startswith(name + "="):
+            found = word[len(name) + 1:]
+    return found
 
 
 caps = values(["5", "8", " 4", "99999999999999999999"], ["1", "0", "-1", "x", "2.5", ""])
@@ -128,14 +155,15 @@ def argv_calls(draw):
     """A ``dist``, ``enumerate`` or ``compatible`` call over at most five labels."""
     command = draw(st.sampled_from(["dist", "dist", "dist", "enumerate", "compatible"]))
     names = draw(labels())
-    objects = [f"--objects={','.join(names)}"]
-    cap = draw(st.one_of(st.just([]), caps.map(lambda value: [f"--cap={value}"])))
+    objects = draw(option("--objects", st.just(",".join(names))))
+    cap = draw(st.one_of(st.just([]), option("--cap", caps)))
     if command == "dist":
-        argv = objects + [f"--pref1={draw(prefs(names))}", f"--pref2={draw(prefs(names))}"]
-        method = draw(values(["direct", "indirect-j", "indirect-bi", "bfm", "bfm"], ["kendall"]))
-        argv += [f"--method={method}"]
+        argv = objects + draw(option("--pref1", prefs(names)))
+        argv += draw(option("--pref2", prefs(names)))
+        methods = values(["direct", "indirect-j", "indirect-bi", "bfm", "bfm"], ["kendall"])
+        argv += draw(option("--method", methods))
         argv += draw(flag("--conv", ["signed", "unit"], ["square"]))
-        if method == "bfm" or draw(st.integers(0, 9)) == 0:
+        if last_value(argv, "--method") == "bfm" or draw(st.integers(0, 9)) == 0:
             argv += draw(flag("--attitude", ["all", "optim", "pessim", "aver", "hurwicz"], ["x"]))
             argv += draw(flag("--alpha", ["0", "0.5", "1", "1e-300"],
                               ["1.5", "-0.1", "nan", "inf", "x", ""]))
@@ -144,7 +172,7 @@ def argv_calls(draw):
         argv = draw(st.sampled_from([objects, []]))
         argv += draw(flag("--n", ["1", "3", "4", "5"], ["0", "-2", "x"]))
     else:
-        argv = objects + [f"--pref={draw(prefs(names))}"]
+        argv = objects + draw(option("--pref", prefs(names)))
     return [command] + argv + cap
 
 
@@ -216,7 +244,7 @@ class TestArgvFuzz:
         code, out, err = call(argv, env_cap)
         assert_contract(command, code, out, err)
         if code == 0 and command == "dist":
-            fmt = "table" if "--format=table" in argv else "json"
+            fmt = last_value(argv, "--format") or "json"
             raw, maximum, normalized = reported_numbers(out, fmt)
             assert all(map(math.isfinite, (raw, maximum, normalized)))
             assert 0.0 <= normalized <= 1.0
