@@ -24,7 +24,6 @@ from .belief import (
     FULL_FRAME,
     BbaMatrix,
     BbaMetric,
-    BeliefInterval,
     DistanceReport,
     MassFunction,
     bba_from_relation,
@@ -57,7 +56,6 @@ from .errors import (
     NotTotalError,
     PrefdistError,
     PreferenceSyntaxError,
-    SubsetNotMentionedError,
     UnknownObjectError,
     UnnormalizedMassError,
 )
@@ -65,7 +63,6 @@ from .model import (
     ObjectUniverse,
     PairRelation,
     WeakOrder,
-    chain_order,
     parse_preference,
     render_preference,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "BbaFormatError",
     "BbaMatrix",
     "BbaMetric",
-    "BeliefInterval",
     "BfmReport",
     "CapExceededError",
     "CompatibleSet",
@@ -105,7 +101,6 @@ __all__ = [
     "PrefdistError",
     "PreferenceSyntaxError",
     "PsmConvention",
-    "SubsetNotMentionedError",
     "UnknownObjectError",
     "UnnormalizedMassError",
     "WeakOrder",
@@ -114,7 +109,6 @@ __all__ = [
     "belief_interval_distance",
     "bfm_distance",
     "build_bba_matrix",
-    "chain_order",
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",

@@ -42,38 +42,12 @@ FULL_FRAME = 0b111
 
 _MASS_TOLERANCE = 1e-9
 
-# Orientation swap (i, j) -> (j, i): preferred and dispreferred atoms trade
-# places, so mask k maps to _SWAPPED_MASK[k] (an involution).
-_SWAPPED_MASK = (0, 4, 2, 6, 1, 5, 3, 7)
-
 
 def _check_subset(subset: int) -> None:
     if subset == 0:
         raise EmptySubsetError("belief and plausibility need a non-empty subset")
     if not 0 < subset <= FULL_FRAME:
         raise ValueError(f"subset mask must lie in 1..7, got {subset}")
-
-
-@dataclass(frozen=True)
-class BeliefInterval:
-    """Lower and upper probability bounds [bel, pl] of one subset."""
-
-    bel: float
-    pl: float
-
-    def __post_init__(self) -> None:
-        # a NaN bound fails every comparison, so only valid bounds may pass
-        if not (
-            -_MASS_TOLERANCE <= self.bel
-            and self.pl <= 1.0 + _MASS_TOLERANCE
-            and self.bel <= self.pl + _MASS_TOLERANCE
-        ):
-            raise ValueError(f"need 0 <= bel <= pl <= 1, got [{self.bel}, {self.pl}]")
-
-    @property
-    def uncertainty(self) -> float:
-        """Interval width pl - bel; zero for Bayesian mass functions."""
-        return self.pl - self.bel
 
 
 def _check_masses(masses: NDArray[np.float64], where: str = "") -> None:
@@ -154,13 +128,6 @@ class MassFunction:
         """Total mass of the subsets intersecting ``subset``; 1 - bel(complement)."""
         _check_subset(subset)
         return sum(self.masses[y] for y in range(1, 8) if y & subset)
-
-    def interval(self, subset: int) -> BeliefInterval:
-        return BeliefInterval(self.bel(subset), self.pl(subset))
-
-    def swapped(self) -> "MassFunction":
-        """The same evidence read in the reversed pair orientation (j, i)."""
-        return MassFunction(tuple(self.masses[k] for k in _SWAPPED_MASK))
 
 
 #: The subset of each relation code (see WeakOrder.relation_codes): its state, or the whole frame.

@@ -32,7 +32,7 @@ from .belief import (
     load_bba_matrix,
 )
 from .bfm import Attitude, BfmReport, bfm_distance, grid_text
-from .enumeration import _completion_rows
+from .enumeration import _check_size, _completion_rows
 from .errors import (
     CapExceededError,
     DegenerateUniverseError,
@@ -208,6 +208,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     elif args.n is not None:
         if args.n < 1:
             raise _UsageError("--n", "must be at least 1")
+        _check_size(args.n, _effective_cap(args.cap))  # before n labels are built
         universe = ObjectUniverse.numbered(args.n)
     else:
         raise _UsageError("--n", "required unless --objects is given")

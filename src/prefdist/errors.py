@@ -25,10 +25,6 @@ class IndexOutOfRangeError(PrefdistError):
     """Object index outside [0, universe size)."""
 
 
-class SubsetNotMentionedError(PrefdistError):
-    """Restriction subset contains indices the ordering does not mention."""
-
-
 class NotTotalError(PrefdistError):
     """Operation requires a total ordering but got a partial one."""
 

@@ -22,9 +22,8 @@ import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import filterfalse
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,7 +35,6 @@ from .errors import (
     EmptyExpressionError,
     IndexOutOfRangeError,
     PreferenceSyntaxError,
-    SubsetNotMentionedError,
     UnknownObjectError,
 )
 
@@ -53,7 +51,6 @@ class PairRelation(Enum):
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
 _GROUP = re.compile(r"\s*(?:{0}|\(\s*{0}(?:\s*=\s*{0})+\s*\))\s*".format(_LABEL.pattern))
 _ORDERING = re.compile("{0}(?:>{0})*".format(_GROUP.pattern))  # the grammar of the module docstring
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -148,52 +145,14 @@ class WeakOrder:
         return len(self.rank_tuple)
 
     @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """The tie-classes in preference order, each holding ascending indices."""
-        return tuple(map(tuple, _tie_classes(self.rank_tuple, range(self.universe_size))))
-
-    @property
-    def mentioned(self) -> frozenset[int]:
-        return frozenset(idx for idx, rank in enumerate(self.rank_tuple) if rank >= 0)
-
-    @property
     def is_total(self) -> bool:
         return -1 not in self.rank_tuple
-
-    @cached_property
-    def rank_vector(self) -> NDArray[np.int64]:
-        """Read-only int64 copy of ``rank_tuple``."""
-        vector = np.array(self.rank_tuple, dtype=np.int64)
-        vector.flags.writeable = False
-        return vector
 
     def relation_codes(self) -> NDArray[np.int8]:
         """N x N codes; ``list(PairRelation)[codes[i, j]]`` compares object i with
         object j: SUCC 0 (i preferred), EQUIV 1 (tied, and the diagonal), PREC 2,
         UNKNOWN 3 (i or j unmentioned)."""
         return _relation_codes(self.rank_tuple)[0]
-
-    def reverse(self) -> "WeakOrder":
-        """Same tie-classes in the opposite sequence."""
-        last = max(self.rank_tuple, default=-1)
-        return WeakOrder.from_ranks([last - r if r >= 0 else -1 for r in self.rank_tuple])
-
-    def restrict(self, subset: Iterable[int]) -> "WeakOrder":
-        """Drop every index outside ``subset``, preserving the class sequence.
-
-        ``subset`` must be mentioned by this ordering; empty intersections
-        disappear, so the result mentions exactly ``subset``.
-        """
-        keep = frozenset(subset)
-        extra = keep - self.mentioned
-        if extra:
-            raise SubsetNotMentionedError(
-                f"indices not mentioned by the ordering: {sorted(extra)}"
-            )
-        dense = {r: k for k, r in enumerate(sorted({self.rank_tuple[idx] for idx in keep}))}
-        return WeakOrder.from_ranks(
-            [dense[r] if idx in keep else -1 for idx, r in enumerate(self.rank_tuple)]
-        )
 
 
 def _relation_codes(*rank_tuples: Sequence[int]) -> NDArray[np.int8]:
@@ -210,16 +169,6 @@ def _relation_codes(*rank_tuples: Sequence[int]) -> NDArray[np.int8]:
     return codes
 
 
-def _tie_classes(ranks: Sequence[int], items: Sequence[_T]) -> list[list[_T]]:
-    """``items[i]`` of each object i ranked by ``ranks``, one list per tie-class,
-    classes in preference order and each in object order."""
-    classes: list[list[_T]] = [[] for _ in range(max(ranks, default=-1) + 1)]
-    for rank, item in zip(ranks, items):
-        if rank >= 0:
-            classes[rank].append(item)
-    return classes
-
-
 def common_size(n1: int, n2: int) -> int:
     """The universe size shared by two operands of a normalized distance (>= 2)."""
     if n1 != n2:
@@ -227,11 +176,6 @@ def common_size(n1: int, n2: int) -> int:
     if n1 < 2:
         raise DegenerateUniverseError(f"normalized distances need at least two objects, got {n1}")
     return n1
-
-
-def chain_order(n: int) -> WeakOrder:
-    """The strict chain: object 0 over object 1 over ... over object n-1."""
-    return WeakOrder.from_ranks(range(n))
 
 
 def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
@@ -289,8 +233,10 @@ def render_preference(order: WeakOrder, universe: ObjectUniverse) -> str:
 def render_ranks(ranks: Sequence[int], labels: Sequence[str]) -> str:
     """Canonical text of the order whose object i has rank ``ranks[i]``, named
     ``labels[i]``; -1 marks an unmentioned object."""
-    texts = [
-        names[0] if len(names) == 1 else "(" + " = ".join(names) + ")"
-        for names in _tie_classes(ranks, labels)
-    ]
-    return " > ".join(texts)
+    classes: list[list[str]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for rank, label in zip(ranks, labels):
+        if rank >= 0:
+            classes[rank].append(label)
+    return " > ".join(
+        [names[0] if len(names) == 1 else "(" + " = ".join(names) + ")" for names in classes]
+    )

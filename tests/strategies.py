@@ -1,10 +1,149 @@
-"""Order generators shared by the property and differential tests."""
+"""Order generators, and the order and mass helpers, shared by the tests.
 
+The helpers read a ``WeakOrder`` only through ``rank_tuple`` and a
+``MassFunction`` only through ``masses``; the order helpers go through
+:class:`ReferenceWeakOrder`, the tie-class tuples that ``WeakOrder`` replaced.
+"""
+
+import functools
 import itertools
+from dataclasses import dataclass
 
+import numpy as np
 from hypothesis import strategies as st
 
-from prefdist import WeakOrder, enumerate_weak_orders
+from prefdist import (
+    DuplicateObjectError,
+    IndexOutOfRangeError,
+    MassFunction,
+    PairRelation,
+    WeakOrder,
+    enumerate_weak_orders,
+)
+
+
+@dataclass(frozen=True)
+class ReferenceWeakOrder:
+    """Ordered disjoint tie-classes of object indices; earlier class wins.
+
+    ``classes`` is canonical: within each class indices are sorted ascending.
+    The class sequence itself is semantic and never reordered.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    universe_size: int
+
+    def __post_init__(self) -> None:
+        if self.universe_size < 0:
+            raise ValueError("universe_size must be non-negative")
+        canonical = tuple(tuple(sorted(group)) for group in self.classes)
+        object.__setattr__(self, "classes", canonical)
+        seen: set[int] = set()
+        for group in canonical:
+            if not group:
+                raise ValueError("tie-classes must be non-empty")
+            for idx in group:
+                if not 0 <= idx < self.universe_size:
+                    raise IndexOutOfRangeError(
+                        f"object index {idx} outside [0, {self.universe_size})"
+                    )
+                if idx in seen:
+                    raise DuplicateObjectError(f"object index {idx} appears twice")
+                seen.add(idx)
+
+    @property
+    def mentioned(self) -> frozenset[int]:
+        return frozenset(idx for group in self.classes for idx in group)
+
+    @property
+    def is_total(self) -> bool:
+        return len(self.mentioned) == self.universe_size
+
+    @functools.cached_property
+    def rank_vector(self):
+        ranks = [-1] * self.universe_size
+        for pos, group in enumerate(self.classes):
+            for idx in group:
+                ranks[idx] = pos
+        vector = np.array(ranks, dtype=np.int64)
+        vector.flags.writeable = False
+        return vector
+
+    def relation(self, i: int, j: int) -> PairRelation:
+        for idx in (i, j):
+            if not 0 <= idx < self.universe_size:
+                raise IndexOutOfRangeError(
+                    f"object index {idx} outside [0, {self.universe_size})"
+                )
+        if i == j:
+            return PairRelation.EQUIV
+        ri, rj = self.rank_vector[i], self.rank_vector[j]
+        if ri < 0 or rj < 0:
+            return PairRelation.UNKNOWN
+        if ri == rj:
+            return PairRelation.EQUIV
+        return PairRelation.SUCC if ri < rj else PairRelation.PREC
+
+    def reverse(self) -> "ReferenceWeakOrder":
+        return ReferenceWeakOrder(tuple(reversed(self.classes)), self.universe_size)
+
+    def restrict(self, subset) -> "ReferenceWeakOrder":
+        keep = frozenset(subset)
+        extra = keep - self.mentioned
+        if extra:
+            raise ValueError(f"indices not mentioned by the ordering: {sorted(extra)}")
+        groups = []
+        for group in self.classes:
+            kept = tuple(idx for idx in group if idx in keep)
+            if kept:
+                groups.append(kept)
+        return ReferenceWeakOrder(tuple(groups), self.universe_size)
+
+
+def reference_order_of_ranks(ranks) -> ReferenceWeakOrder:
+    buckets: list[list[int]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for idx, rank in enumerate(ranks):
+        if rank >= 0:
+            buckets[rank].append(idx)
+    return ReferenceWeakOrder(tuple(map(tuple, buckets)), len(ranks))
+
+
+def _reference(order):
+    return reference_order_of_ranks(order.rank_tuple)
+
+
+def classes(order):
+    """The tie-classes of ``order`` in preference order, each in ascending object order."""
+    return _reference(order).classes
+
+
+def mentioned(order):
+    return _reference(order).mentioned
+
+
+def reverse(order):
+    """The same tie-classes in the opposite sequence."""
+    return WeakOrder(_reference(order).reverse().classes, order.universe_size)
+
+
+def restrict(order, subset):
+    """``order`` without the objects outside ``subset``, which it must mention."""
+    return WeakOrder(_reference(order).restrict(subset).classes, order.universe_size)
+
+
+def chain_order(n):
+    """The strict chain: object 0 over object 1 over ... over object n-1."""
+    return WeakOrder.from_ranks(range(n))
+
+
+#: Orientation swap (i, j) -> (j, i): preferred and dispreferred atoms trade
+#: places, so mask k takes the mass of mask _SWAPPED_MASK[k] (an involution).
+_SWAPPED_MASK = (0, 4, 2, 6, 1, 5, 3, 7)
+
+
+def swapped(m):
+    """The same evidence read in the reversed pair orientation (j, i)."""
+    return MassFunction(tuple(m.masses[k] for k in _SWAPPED_MASK))
 
 
 def all_partial_orders(n):
@@ -13,8 +152,8 @@ def all_partial_orders(n):
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
             for order in enumerate_weak_orders(k):
-                classes = tuple(tuple(subset[i] for i in group) for group in order.classes)
-                orders.append(WeakOrder(classes, n))
+                groups = tuple(tuple(subset[i] for i in group) for group in classes(order))
+                orders.append(WeakOrder(groups, n))
     return orders
 
 

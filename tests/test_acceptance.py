@@ -21,7 +21,6 @@ from prefdist import (
     PsmConvention,
     bfm_distance,
     build_bba_matrix,
-    chain_order,
     compatible_tpos,
     direct_distance,
     enumerate_weak_orders,
@@ -34,6 +33,7 @@ from prefdist import (
 )
 from prefdist.psm import _CODE_SCORE
 
+from strategies import chain_order, reverse, swapped
 from test_differential import reference_build_psm
 
 TOL = 5e-5
@@ -206,15 +206,13 @@ def test_criterion_09_interval_primitives():
 
     vacuous = MassFunction.vacuous()
     for atom in atoms:
-        interval = vacuous.interval(atom)
-        assert abs(interval.bel - 0.0) < TOL and abs(interval.pl - 1.0) < TOL
+        assert abs(vacuous.bel(atom) - 0.0) < TOL and abs(vacuous.pl(atom) - 1.0) < TOL
 
     bayesian = MassFunction.from_masses(
         {ATOM_SUCC: 0.2, ATOM_EQUIV: 0.3, ATOM_PREC: 0.5}
     )
     for atom, (lo, hi) in zip(atoms, [(0.2, 0.2), (0.3, 0.3), (0.5, 0.5)]):
-        interval = bayesian.interval(atom)
-        assert abs(interval.bel - lo) < TOL and abs(interval.pl - hi) < TOL
+        assert abs(bayesian.bel(atom) - lo) < TOL and abs(bayesian.pl(atom) - hi) < TOL
 
     imprecise = MassFunction.from_masses({
         ATOM_SUCC: 0.1, ATOM_EQUIV: 0.2, ATOM_PREC: 0.3,
@@ -222,8 +220,7 @@ def test_criterion_09_interval_primitives():
         ATOM_EQUIV | ATOM_PREC: 0.05, FULL_FRAME: 0.3,
     })
     for atom, (lo, hi) in zip(atoms, [(0.1, 0.45), (0.2, 0.57), (0.3, 0.68)]):
-        interval = imprecise.interval(atom)
-        assert abs(interval.bel - lo) < TOL and abs(interval.pl - hi) < TOL
+        assert abs(imprecise.bel(atom) - lo) < TOL and abs(imprecise.pl(atom) - hi) < TOL
 
 
 @criterion(10, "exhaustive structural properties over all orders of three objects")
@@ -272,7 +269,7 @@ def test_criterion_10_property_suites():
         masses = build_bba_matrix(order).masses
         for i in range(3):
             for j in range(3):
-                assert MassFunction(masses[j, i]) == MassFunction(masses[i, j]).swapped()
+                assert MassFunction(masses[j, i]) == swapped(MassFunction(masses[i, j]))
 
     # chain reversal attains the exhaustive raw maxima
     matrices = [reference_build_psm(order, PsmConvention.SIGNED) for order in orders]
@@ -287,4 +284,4 @@ def test_criterion_10_property_suites():
     )
     assert abs(direct_raw - math.sqrt(12)) < TOL
     chain = chain_order(3)
-    assert abs(direct_distance(chain, chain.reverse()).raw - direct_raw) < TOL
+    assert abs(direct_distance(chain, reverse(chain)).raw - direct_raw) < TOL

@@ -1,5 +1,6 @@
 """The public API: exactly the names below, each one resolving, and none of the
-names that gave a second route to a number that another name computes."""
+names that gave a second route to a number that another name computes or that
+no route reached."""
 
 import importlib
 import inspect
@@ -7,7 +8,7 @@ import inspect
 import pytest
 
 import prefdist
-from prefdist import BbaMatrix, WeakOrder
+from prefdist import BbaMatrix, MassFunction, WeakOrder
 
 PUBLIC = [
     "ATOM_EQUIV",
@@ -17,7 +18,6 @@ PUBLIC = [
     "BbaFormatError",
     "BbaMatrix",
     "BbaMetric",
-    "BeliefInterval",
     "BfmReport",
     "CapExceededError",
     "CompatibleSet",
@@ -37,7 +37,6 @@ PUBLIC = [
     "PrefdistError",
     "PreferenceSyntaxError",
     "PsmConvention",
-    "SubsetNotMentionedError",
     "UnknownObjectError",
     "UnnormalizedMassError",
     "WeakOrder",
@@ -46,7 +45,6 @@ PUBLIC = [
     "belief_interval_distance",
     "bfm_distance",
     "build_bba_matrix",
-    "chain_order",
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
@@ -68,6 +66,9 @@ REMOVED = [
     ("prefdist.psm", "frobenius_distance"),
     ("prefdist.errors", "ConventionMismatchError"),
     ("prefdist.bfm", "bfm_grid"),
+    ("prefdist.belief", "BeliefInterval"),
+    ("prefdist.errors", "SubsetNotMentionedError"),
+    ("prefdist.model", "chain_order"),
 ]
 
 
@@ -90,7 +91,19 @@ def test_a_removed_name_is_gone(module, name):
 
 
 @pytest.mark.parametrize(
-    "owner, name", [(WeakOrder, "relation"), (WeakOrder, "ranks"), (BbaMatrix, "cells")]
+    "owner, name",
+    [
+        (WeakOrder, "relation"),
+        (WeakOrder, "ranks"),
+        (WeakOrder, "restrict"),
+        (WeakOrder, "reverse"),
+        (WeakOrder, "rank_vector"),
+        (WeakOrder, "classes"),
+        (WeakOrder, "mentioned"),
+        (BbaMatrix, "cells"),
+        (MassFunction, "swapped"),
+        (MassFunction, "interval"),
+    ],
 )
 def test_a_removed_member_is_gone(owner, name):
     assert not hasattr(owner, name)

@@ -15,7 +15,6 @@ from prefdist import (
     BbaFormatError,
     BbaMatrix,
     BbaMetric,
-    BeliefInterval,
     DegenerateUniverseError,
     DimensionMismatchError,
     EmptySubsetError,
@@ -27,7 +26,6 @@ from prefdist import (
     bba_matrix_from_json,
     belief_interval_distance,
     build_bba_matrix,
-    chain_order,
     direct_distance,
     direct_distance_general,
     enumerate_weak_orders,
@@ -36,6 +34,8 @@ from prefdist import (
     jousselme_distance,
     load_bba_matrix,
 )
+
+from strategies import chain_order, reverse, swapped
 
 TOL = 5e-5
 
@@ -95,10 +95,10 @@ class TestMassFunction:
             MassFunction.from_masses({mask: 1.0})
 
     def test_swapped_exchanges_orientation(self):
-        assert BAYESIAN.swapped().masses == (0, 0.5, 0.3, 0, 0.2, 0, 0, 0)
+        assert swapped(BAYESIAN).masses == (0, 0.5, 0.3, 0, 0.2, 0, 0, 0)
         mixed = MassFunction.from_masses({ATOM_SUCC | ATOM_EQUIV: 0.6, FULL_FRAME: 0.4})
-        assert mixed.swapped().masses == (0, 0, 0, 0, 0, 0, 0.6, 0.4)
-        assert mixed.swapped().swapped() == mixed
+        assert swapped(mixed).masses == (0, 0, 0, 0, 0, 0, 0.6, 0.4)
+        assert swapped(swapped(mixed)) == mixed
 
 
 class TestBelPl:
@@ -147,21 +147,9 @@ class TestBelPl:
     )
     def test_singleton_intervals(self, m, expected):
         for atom, (bel, pl) in zip((ATOM_SUCC, ATOM_EQUIV, ATOM_PREC), expected):
-            interval = m.interval(atom)
-            assert interval.bel == pytest.approx(bel)
-            assert interval.pl == pytest.approx(pl)
-            assert interval.uncertainty == pytest.approx(pl - bel)
-
-    @pytest.mark.parametrize(
-        "bel, pl",
-        [
-            (math.nan, 0.5), (0.2, math.nan), (math.nan, math.nan),
-            (-math.inf, 0.5), (0.2, math.inf), (math.inf, math.inf), (-math.inf, -math.inf),
-        ],
-    )
-    def test_interval_rejects_nan_and_infinite_bounds(self, bel, pl):
-        with pytest.raises(ValueError, match=r"need 0 <= bel <= pl <= 1"):
-            BeliefInterval(bel, pl)
+            assert m.bel(atom) == pytest.approx(bel)
+            assert m.pl(atom) == pytest.approx(pl)
+            assert m.pl(atom) - m.bel(atom) == pytest.approx(pl - bel)
 
 
 class TestEncoding:
@@ -196,7 +184,7 @@ class TestEncoding:
             cells = cells_of(build_bba_matrix(order))
             for i in range(3):
                 for j in range(3):
-                    assert cells[j][i] == cells[i][j].swapped()
+                    assert cells[j][i] == swapped(cells[i][j])
 
     def test_mirror_consistency_over_all_two_object_partials(self):
         partials = [
@@ -211,7 +199,7 @@ class TestEncoding:
             cells = cells_of(build_bba_matrix(order))
             for i in range(2):
                 for j in range(2):
-                    assert cells[j][i] == cells[i][j].swapped()
+                    assert cells[j][i] == swapped(cells[i][j])
 
 
 class TestMassMetrics:
@@ -288,7 +276,7 @@ class TestDirectDistance:
         )
         assert brute == pytest.approx(math.sqrt(12))
         chain = chain_order(3)
-        assert direct_distance(chain, chain.reverse()).raw == pytest.approx(brute)
+        assert direct_distance(chain, reverse(chain)).raw == pytest.approx(brute)
 
 
 class TestDirectDistanceGeneral:
@@ -312,7 +300,7 @@ class TestDirectDistanceGeneral:
         b1 = BbaMatrix(
             (
                 (EQUIV_SURE, BAYESIAN),
-                (BAYESIAN.swapped(), EQUIV_SURE),
+                (swapped(BAYESIAN), EQUIV_SURE),
             )
         )
         b2 = BbaMatrix(
@@ -413,7 +401,7 @@ class TestBbaMatrixValue:
         assert cells_of(matrix) == [[EQUIV_SURE, BAYESIAN], [VACUOUS, EQUIV_SURE]]
 
     def test_nested_mass_functions_construct_the_grid(self):
-        matrix = BbaMatrix(((EQUIV_SURE, BAYESIAN), (BAYESIAN.swapped(), EQUIV_SURE)))
+        matrix = BbaMatrix(((EQUIV_SURE, BAYESIAN), (swapped(BAYESIAN), EQUIV_SURE)))
         assert matrix.masses.shape == (2, 2, 8) and matrix.masses.dtype == np.float64
         assert matrix.masses[0, 1].tolist() == list(BAYESIAN.masses)
 

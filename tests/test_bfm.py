@@ -14,13 +14,14 @@ from prefdist import (
     DimensionMismatchError,
     WeakOrder,
     bfm_distance,
-    chain_order,
     compatible_tpos,
     enumerate_weak_orders,
     normalized_distance,
     render_preference,
 )
 from prefdist.cli import main
+
+from strategies import chain_order, classes, reverse
 
 TOL = 5e-5
 
@@ -131,11 +132,11 @@ class TestGrid:
         runs in float32 while 4n(n - 1) < 2^24, up to n = 2048, and in float64
         beyond."""
         chain = chain_order(n)
-        swapped = WeakOrder(((1,), (0,)) + chain.classes[2:], n)
-        for other, k in ((chain.reverse(), 4 * n * (n - 1)), (swapped, 8), (chain, 0)):
+        swapped = WeakOrder(((1,), (0,)) + classes(chain)[2:], n)
+        for other, k in ((reverse(chain), 4 * n * (n - 1)), (swapped, 8), (chain, 0)):
             report = bfm_distance(chain, other, cap=n)
             assert report.squared.dtype == dtype and report.squared.tolist() == [[k]]
-        assert bfm_distance(chain, chain.reverse(), cap=n).pessim == 1.0
+        assert bfm_distance(chain, reverse(chain), cap=n).pessim == 1.0
 
     def test_cell_limit_admits_every_grid_of_six_objects(self):
         largest = compatible_tpos(WeakOrder((), 6)).count
@@ -160,7 +161,7 @@ class TestReport:
         # single completion each, so every attitude equals the full
         # contradiction value 1 by construction
         chain = chain_order(3)
-        report = bfm_distance(chain, chain.reverse())
+        report = bfm_distance(chain, reverse(chain))
         for attitude in Attitude:
             assert report.value(attitude) == pytest.approx(1.0)
 

@@ -459,6 +459,17 @@ class TestEnumerateCommand:
         code, _, err = run(capsys, "enumerate", "--n", "9")
         assert code == 3
 
+    def test_cap_is_checked_before_the_labels_are_built(self, capsys, monkeypatch):
+        def refuse(cls, n):
+            raise AssertionError(f"built {n} labels past the cap")
+
+        monkeypatch.setattr(ObjectUniverse, "numbered", classmethod(refuse))
+        expected = (3, "", "error: n=1000000 exceeds the enumeration cap 8\n")
+        assert run(capsys, "enumerate", "--n", "1000000") == expected
+        monkeypatch.setenv("PREFDIST_CAP", "x")  # a bad environment cap still exits 2
+        expected = (2, "", "error: PREFDIST_CAP: not an integer: 'x'\n")
+        assert run(capsys, "enumerate", "--n", "1000000") == expected
+
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PREFDIST_CAP", "2")
         code, _, err = run(capsys, "enumerate", "--n", "3")

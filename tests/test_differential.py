@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -43,7 +42,6 @@ from prefdist import (
     DimensionMismatchError,
     DuplicateObjectError,
     EmptyExpressionError,
-    IndexOutOfRangeError,
     MassFunction,
     NotTotalError,
     ObjectUniverse,
@@ -51,14 +49,12 @@ from prefdist import (
     PreferenceSyntaxError,
     PrefdistError,
     PsmConvention,
-    SubsetNotMentionedError,
     UnnormalizedMassError,
     WeakOrder,
     bba_from_relation,
     belief_interval_distance,
     bfm_distance,
     build_bba_matrix,
-    chain_order,
     compatible_tpos,
     direct_distance,
     direct_distance_general,
@@ -78,7 +74,18 @@ from prefdist.enumeration import _completions
 from prefdist.model import _LABEL, _relation_codes, render_ranks
 from prefdist.psm import _CODE_SCORE, _COST, _category_counts
 
-from strategies import all_partial_orders, preference_texts, weak_orders
+from strategies import (
+    ReferenceWeakOrder,
+    all_partial_orders,
+    chain_order,
+    classes,
+    mentioned,
+    preference_texts,
+    reference_order_of_ranks,
+    restrict,
+    reverse,
+    weak_orders,
+)
 
 MAX_N = 7
 REFERENCE_METRIC = {
@@ -91,7 +98,7 @@ SUCC_CERTAIN = MassFunction.certain(ATOM_SUCC)
 def reference_relation(order, i, j):
     if i == j:
         return PairRelation.EQUIV
-    ranks = {idx: pos for pos, group in enumerate(order.classes) for idx in group}
+    ranks = {idx: rank for idx, rank in enumerate(order.rank_tuple) if rank >= 0}
     ri, rj = ranks.get(i), ranks.get(j)
     if ri is None or rj is None:
         return PairRelation.UNKNOWN
@@ -182,7 +189,7 @@ def reference_load(document):
 def reference_direct_max(n):
     chain = chain_order(n)
     return reference_grid_distance(
-        reference_bba_matrix(chain), reference_bba_matrix(chain.reverse())
+        reference_bba_matrix(chain), reference_bba_matrix(reverse(chain))
     )
 
 
@@ -202,7 +209,7 @@ def reference_indirect_max(n, metric):
     return float(
         np.linalg.norm(
             reference_indirect_psm(chain, metric)
-            - reference_indirect_psm(chain.reverse(), metric)
+            - reference_indirect_psm(reverse(chain), metric)
         )
     )
 
@@ -261,11 +268,11 @@ def reference_order(ranks):
 
 
 def reference_compatible_tpos(ppo):
-    mentioned = ppo.mentioned
+    known = mentioned(ppo)
     return tuple(
         candidate
         for candidate in map(reference_order, reference_rank_vectors((-1,) * ppo.universe_size))
-        if candidate.restrict(mentioned) == ppo
+        if restrict(candidate, known) == ppo
     )
 
 
@@ -288,14 +295,14 @@ def reference_insertions(order):
 
 def reference_build_psm(tpo, convention):
     """The score matrix of a total order: entry (i, j) scores object i against object j."""
-    r = tpo.rank_vector.astype(np.float64)
+    r = np.array(tpo.rank_tuple, dtype=np.float64)
     signed = np.sign(r[None, :] - r[:, None])
     return signed if convention is PsmConvention.SIGNED else (signed + 1.0) / 2.0
 
 
 def reference_max_psm_distance(n, convention):
     chain = chain_order(n)
-    m1, m2 = (reference_build_psm(order, convention) for order in (chain, chain.reverse()))
+    m1, m2 = (reference_build_psm(order, convention) for order in (chain, reverse(chain)))
     return float(np.linalg.norm(m1 - m2))
 
 
@@ -337,100 +344,12 @@ def reference_grid_text(squared, n, seps):
     ) + end
 
 
-@dataclass(frozen=True)
-class ReferenceWeakOrder:
-    """Ordered disjoint tie-classes of object indices; earlier class wins.
-
-    ``classes`` is canonical: within each class indices are sorted ascending.
-    The class sequence itself is semantic and never reordered.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    universe_size: int
-
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
-            raise ValueError("universe_size must be non-negative")
-        canonical = tuple(tuple(sorted(group)) for group in self.classes)
-        object.__setattr__(self, "classes", canonical)
-        seen: set[int] = set()
-        for group in canonical:
-            if not group:
-                raise ValueError("tie-classes must be non-empty")
-            for idx in group:
-                if not 0 <= idx < self.universe_size:
-                    raise IndexOutOfRangeError(
-                        f"object index {idx} outside [0, {self.universe_size})"
-                    )
-                if idx in seen:
-                    raise DuplicateObjectError(f"object index {idx} appears twice")
-                seen.add(idx)
-
-    @property
-    def mentioned(self) -> frozenset[int]:
-        return frozenset(idx for group in self.classes for idx in group)
-
-    @property
-    def is_total(self) -> bool:
-        return len(self.mentioned) == self.universe_size
-
-    @functools.cached_property
-    def rank_vector(self):
-        ranks = [-1] * self.universe_size
-        for pos, group in enumerate(self.classes):
-            for idx in group:
-                ranks[idx] = pos
-        vector = np.array(ranks, dtype=np.int64)
-        vector.flags.writeable = False
-        return vector
-
-    def relation(self, i: int, j: int) -> PairRelation:
-        for idx in (i, j):
-            if not 0 <= idx < self.universe_size:
-                raise IndexOutOfRangeError(
-                    f"object index {idx} outside [0, {self.universe_size})"
-                )
-        if i == j:
-            return PairRelation.EQUIV
-        ri, rj = self.rank_vector[i], self.rank_vector[j]
-        if ri < 0 or rj < 0:
-            return PairRelation.UNKNOWN
-        if ri == rj:
-            return PairRelation.EQUIV
-        return PairRelation.SUCC if ri < rj else PairRelation.PREC
-
-    def reverse(self) -> "ReferenceWeakOrder":
-        return ReferenceWeakOrder(tuple(reversed(self.classes)), self.universe_size)
-
-    def restrict(self, subset) -> "ReferenceWeakOrder":
-        keep = frozenset(subset)
-        extra = keep - self.mentioned
-        if extra:
-            raise SubsetNotMentionedError(
-                f"indices not mentioned by the ordering: {sorted(extra)}"
-            )
-        groups = []
-        for group in self.classes:
-            kept = tuple(idx for idx in group if idx in keep)
-            if kept:
-                groups.append(kept)
-        return ReferenceWeakOrder(tuple(groups), self.universe_size)
-
-
 def reference_render_preference(order: ReferenceWeakOrder, universe: ObjectUniverse) -> str:
     parts = []
     for group in order.classes:
         labels = [universe.labels[idx] for idx in group]
         parts.append(labels[0] if len(labels) == 1 else "(" + " = ".join(labels) + ")")
     return " > ".join(parts)
-
-
-def reference_order_of_ranks(ranks) -> ReferenceWeakOrder:
-    buckets: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for idx, rank in enumerate(ranks):
-        if rank >= 0:
-            buckets[rank].append(idx)
-    return ReferenceWeakOrder(tuple(map(tuple, buckets)), len(ranks))
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[>=()]")
@@ -596,7 +515,7 @@ def assert_completions_match_reference(order):
     result = compatible_tpos(order)
     expected = reference_compatible_tpos(order)
     assert result.ctpos == expected
-    assert result.ranks.tolist() == [t.rank_vector.tolist() for t in expected]
+    assert result.ranks.tolist() == [list(t.rank_tuple) for t in expected]
 
 
 @st.composite
@@ -799,7 +718,7 @@ class TestCategoryCounts:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 70])
     def test_empty_and_total_orders(self, n):
-        orders = (WeakOrder((), n), chain_order(n), chain_order(n).reverse())
+        orders = (WeakOrder((), n), chain_order(n), reverse(chain_order(n)))
         for a, b in itertools.product(orders, repeat=2):
             assert np.array_equal(_category_counts(a, b), reference_category_counts(a, b))
 
@@ -812,7 +731,7 @@ class TestCategoryCounts:
         unmentioned = [-1 if i % 5 == 2 else rank for i, rank in enumerate(ties)]
         orders = [
             chain_order(n),
-            chain_order(n).reverse(),
+            reverse(chain_order(n)),
             WeakOrder.from_ranks(list(range(n - 2)) + [-1, -1]),
             WeakOrder.from_ranks([-1] + list(range(n - 1))),
             WeakOrder(_tie_classes_of(ties), n),
@@ -866,9 +785,9 @@ class TestDistances:
 @pytest.mark.parametrize("n", range(2, 13))
 def test_maxima_are_exact(n):
     chain = chain_order(n)
-    assert direct_distance(chain, chain.reverse()).max == reference_direct_max(n)
+    assert direct_distance(chain, reverse(chain)).max == reference_direct_max(n)
     for metric in BbaMetric:
-        report = indirect_distance(chain, chain.reverse(), metric)
+        report = indirect_distance(chain, reverse(chain), metric)
         assert report.max == reference_indirect_max(n, metric)
         assert report.raw == report.max
 
@@ -881,7 +800,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_completions_are_bitwise_the_recursive_generator(self, n):
         for order in all_partial_orders(n):
-            rows = list(reference_rank_vectors(order.rank_vector.tolist()))
+            rows = list(reference_rank_vectors(order.rank_tuple))
             expected = np.array(rows, dtype=np.min_scalar_type(-n)).reshape(-1, n)
             ranks = compatible_tpos(order).ranks
             assert ranks.dtype == np.min_scalar_type(-n) and not ranks.flags.writeable, order
@@ -899,7 +818,7 @@ class TestBruteForce:
     def test_completions_at_the_rank_type_boundary(self, n):
         """Rows are int8 up to n = 128, where a completion's rank reaches 127,
         and int16 at n = 129."""
-        total = chain_order(n).reverse()
+        total = reverse(chain_order(n))
         left_out = n // 2
         partial = WeakOrder.from_ranks(
             [-1 if i == left_out else i - (i > left_out) for i in range(n)]
@@ -914,7 +833,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_weak_orders_follow_the_recursive_generator(self, n):
-        vectors = [tuple(order.rank_vector.tolist()) for order in enumerate_weak_orders(n)]
+        vectors = [order.rank_tuple for order in enumerate_weak_orders(n)]
         assert vectors == list(reference_rank_vectors((-1,) * n))
 
     @pytest.mark.parametrize("convention", list(PsmConvention))
@@ -972,22 +891,18 @@ class TestWeakOrderModel:
         n = data.draw(st.integers(1, 8))
         ref = data.draw(reference_orders(n))
         order = WeakOrder(ref.classes, n)
-        assert order == WeakOrder.from_ranks(ref.rank_vector.tolist())
-        assert (order.universe_size, order.classes) == (n, ref.classes)
-        vector = order.rank_vector
-        assert vector.dtype == np.int64 and not vector.flags.writeable
-        assert vector.tolist() == ref.rank_vector.tolist()
-        assert (order.mentioned, order.is_total) == (ref.mentioned, ref.is_total)
+        ranks = ref.rank_vector.tolist()
+        assert order == WeakOrder.from_ranks(ranks)
+        assert (order.universe_size, order.rank_tuple) == (n, tuple(ranks))
+        assert order.is_total == ref.is_total
         codes = order.relation_codes()
         for i, j in itertools.product(range(n), repeat=2):
             assert list(PairRelation)[codes[i, j]] is ref.relation(i, j)
-        assert order.reverse().classes == ref.reverse().classes
-        subset = data.draw(st.sets(st.sampled_from(sorted(ref.mentioned or {0}))))
-        subset &= ref.mentioned
-        assert order.restrict(subset).classes == ref.restrict(subset).classes
         universe = ObjectUniverse.numbered(n)
         assert render_preference(order, universe) == reference_render_preference(ref, universe)
 
+        subset = data.draw(st.sets(st.sampled_from(sorted(ref.mentioned or {0}))))
+        subset &= ref.mentioned
         other = data.draw(
             st.sampled_from([ref, ref.reverse(), ref.restrict(subset)]) | reference_orders(n)
         )
@@ -1007,7 +922,7 @@ class TestWeakOrderModel:
                 for row in rows
             ]
             assert [render_ranks(row, universe.labels) for row in rows] == expected, order
-            if order.mentioned:
+            if mentioned(order):
                 pref = render_preference(order, universe)
                 argv = ["compatible", "--objects", objects, "--pref", pref]
             else:  # the empty order has no text form; its completions are every weak order
@@ -1203,7 +1118,7 @@ class TestCliOutput:
 
     @settings(deadline=None, max_examples=40)
     @given(
-        pair=order_pairs(max_n=5).filter(lambda pair: all(o.classes for o in pair)),
+        pair=order_pairs(max_n=5).filter(lambda pair: all(map(classes, pair))),
         convention=st.sampled_from(list(PsmConvention)),
         fmt=st.sampled_from(["json", "table"]),
     )

@@ -11,7 +11,7 @@ from prefdist import (
 )
 from prefdist.enumeration import _completion_count
 
-from strategies import all_partial_orders
+from strategies import all_partial_orders, mentioned, restrict
 
 # All 13 weak orders of three objects.
 ALL_THREE_OBJECT_ORDERS = {
@@ -119,7 +119,7 @@ class TestCompatibleTpos:
     def test_restrictions_reproduce_the_partial_order(self, pref):
         ppo = pref("C > A")
         for ctpo in compatible_tpos(ppo).ctpos:
-            assert ctpo.restrict(ppo.mentioned) == ppo
+            assert restrict(ctpo, mentioned(ppo)) == ppo
 
     @pytest.mark.parametrize(
         "weaker, stronger",

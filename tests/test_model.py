@@ -10,14 +10,14 @@ from prefdist import (
     ObjectUniverse,
     PairRelation,
     PreferenceSyntaxError,
-    SubsetNotMentionedError,
     UnknownObjectError,
     WeakOrder,
-    chain_order,
     enumerate_weak_orders,
     parse_preference,
     render_preference,
 )
+
+from strategies import chain_order, classes, mentioned, restrict, reverse
 
 
 class TestObjectUniverse:
@@ -73,11 +73,11 @@ class TestObjectUniverse:
 class TestWeakOrderConstruction:
     def test_within_class_indices_are_sorted(self):
         order = WeakOrder(((2, 0),), 3)
-        assert order.classes == ((0, 2),)
+        assert classes(order) == ((0, 2),)
 
     def test_class_sequence_is_preserved(self):
         order = WeakOrder(((2,), (0, 1)), 3)
-        assert order.classes == ((2,), (0, 1))
+        assert classes(order) == ((2,), (0, 1))
 
     def test_overlapping_classes_rejected(self):
         with pytest.raises(DuplicateObjectError):
@@ -97,7 +97,7 @@ class TestWeakOrderConstruction:
 
     def test_empty_order_is_legal(self):
         order = WeakOrder((), 3)
-        assert order.mentioned == frozenset()
+        assert mentioned(order) == frozenset()
         assert not order.is_total
 
 
@@ -119,21 +119,21 @@ class TestFromRanks:
 
 class TestParse:
     def test_strict_chain(self, abc):
-        assert parse_preference("B > A > C", abc).classes == ((1,), (0,), (2,))
+        assert classes(parse_preference("B > A > C", abc)) == ((1,), (0,), (2,))
 
     def test_tie_group(self, abc):
-        assert parse_preference("C > (A = B)", abc).classes == ((2,), (0, 1))
+        assert classes(parse_preference("C > (A = B)", abc)) == ((2,), (0, 1))
 
     def test_all_tied(self, abc):
-        assert parse_preference("(A = B = C)", abc).classes == ((0, 1, 2),)
+        assert classes(parse_preference("(A = B = C)", abc)) == ((0, 1, 2),)
 
     def test_whitespace_insignificant(self, abc):
         assert parse_preference("  C>(A =B) ", abc) == parse_preference("C > (A = B)", abc)
 
     def test_partial_order(self, abc):
         order = parse_preference("C > A", abc)
-        assert order.classes == ((2,), (0,))
-        assert order.mentioned == frozenset({0, 2})
+        assert classes(order) == ((2,), (0,))
+        assert mentioned(order) == frozenset({0, 2})
         assert not order.is_total
 
     def test_repeated_object(self):
@@ -169,13 +169,9 @@ class TestParse:
 
 
 class TestRelation:
-    def test_rank_vector_marks_unmentioned_objects(self, pref):
-        assert pref("C > A").rank_vector.tolist() == [1, -1, 0]
-        assert pref("C > (A = B)").rank_vector.tolist() == [1, 1, 0]
-
-    def test_rank_vector_is_read_only(self, pref):
-        with pytest.raises(ValueError):
-            pref("C > A").rank_vector[1] = 0
+    def test_rank_tuple_marks_unmentioned_objects(self, pref):
+        assert pref("C > A").rank_tuple == (1, -1, 0)
+        assert pref("C > (A = B)").rank_tuple == (1, 1, 0)
 
     def test_relation_codes_of_a_partial_order(self, pref):
         # SUCC 0, EQUIV 1, PREC 2, UNKNOWN 3; row object against column object.
@@ -213,44 +209,44 @@ class TestRelation:
 
 
 class TestReverse:
+    """The test helper ``reverse``, which the oracles build on."""
+
     def test_chain(self, pref):
-        assert pref("A > B > C").reverse() == pref("C > B > A")
+        assert reverse(pref("A > B > C")) == pref("C > B > A")
 
     def test_all_tied_is_self_reverse(self, pref):
         order = pref("(A = B = C)")
-        assert order.reverse() == order
+        assert reverse(order) == order
 
     def test_class_sequence_flip(self, pref):
-        assert pref("C > (A = B)").reverse() == pref("(A = B) > C")
+        assert reverse(pref("C > (A = B)")) == pref("(A = B) > C")
 
     def test_involution_over_all_orders_of_three(self):
         for order in enumerate_weak_orders(3):
-            assert order.reverse().reverse() == order
+            assert reverse(reverse(order)) == order
 
 
 class TestRestrict:
+    """The test helper ``restrict``, which the completion oracle builds on."""
+
     def test_drops_outside_objects(self, pref):
-        assert pref("C > (A = B)").restrict({0, 2}) == pref("C > A")
+        assert restrict(pref("C > (A = B)"), {0, 2}) == pref("C > A")
 
     def test_identity_restriction(self, pref):
         order = pref("B > A > C")
-        assert order.restrict(order.mentioned) == order
+        assert restrict(order, mentioned(order)) == order
 
     def test_sequence_preserved(self, pref):
-        assert pref("B > C > A").restrict({0, 2}) == pref("C > A")
-
-    def test_subset_must_be_mentioned(self, pref):
-        with pytest.raises(SubsetNotMentionedError):
-            pref("C > A").restrict({0, 1})
+        assert restrict(pref("B > C > A"), {0, 2}) == pref("C > A")
 
     def test_empty_restriction(self, pref):
-        assert pref("B > C > A").restrict(set()) == WeakOrder((), 3)
+        assert restrict(pref("B > C > A"), set()) == WeakOrder((), 3)
 
     def test_preserves_pairwise_relations(self):
         subset = {0, 2, 3}
         for order in enumerate_weak_orders(4):
-            restricted = order.restrict(subset)
-            assert restricted.mentioned == frozenset(subset)
+            restricted = restrict(order, subset)
+            assert mentioned(restricted) == frozenset(subset)
             kept = np.ix_(sorted(subset), sorted(subset))
             assert np.array_equal(restricted.relation_codes()[kept], order.relation_codes()[kept])
 
@@ -272,4 +268,4 @@ class TestRender:
 
 
 def test_chain_order_shape():
-    assert chain_order(4).classes == ((0,), (1,), (2,), (3,))
+    assert classes(chain_order(4)) == ((0,), (1,), (2,), (3,))

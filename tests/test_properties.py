@@ -22,7 +22,6 @@ from prefdist import (
     ObjectUniverse,
     PsmConvention,
     bfm_distance,
-    chain_order,
     direct_distance,
     enumerate_weak_orders,
     indirect_distance,
@@ -34,7 +33,16 @@ from prefdist import (
 from prefdist.enumeration import _completion_count
 from prefdist.psm import _CODE_SCORE
 
-from strategies import all_partial_orders, weak_orders
+from strategies import (
+    all_partial_orders,
+    chain_order,
+    classes,
+    mentioned,
+    restrict,
+    reverse,
+    swapped,
+    weak_orders,
+)
 
 #: The code of each relation code's mirror pair (j, i): SUCC and PREC swap.
 MIRROR_CODE = np.array([2, 1, 0, 3])
@@ -57,7 +65,7 @@ def mass_functions(draw):
 class TestOrderProperties:
     @given(weak_orders())
     def test_reverse_is_an_involution(self, order):
-        assert order.reverse().reverse() == order
+        assert reverse(reverse(order)) == order
 
     @given(weak_orders())
     def test_relation_antisymmetry(self, order):
@@ -66,13 +74,13 @@ class TestOrderProperties:
 
     @given(weak_orders())
     def test_render_parse_round_trip(self, order):
-        assume(order.mentioned)
+        assume(mentioned(order))
         universe = ObjectUniverse.numbered(order.universe_size)
         assert parse_preference(render_preference(order, universe), universe) == order
 
     @given(weak_orders(), st.data())
     def test_render_parse_round_trip_over_grammar_labels(self, order, data):
-        assume(order.mentioned)
+        assume(mentioned(order))
         names = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6)
         n = order.universe_size
         labels = data.draw(st.lists(names, min_size=n, max_size=n, unique=True))
@@ -81,14 +89,14 @@ class TestOrderProperties:
 
     @given(weak_orders(), st.data())
     def test_restriction_mentions_exactly_the_subset(self, order, data):
-        mentioned = sorted(order.mentioned)
+        known = sorted(mentioned(order))
         subset = frozenset(
-            data.draw(st.lists(st.sampled_from(mentioned), unique=True))
-            if mentioned
+            data.draw(st.lists(st.sampled_from(known), unique=True))
+            if known
             else ()
         )
-        restricted = order.restrict(subset)
-        assert restricted.mentioned == subset
+        restricted = restrict(order, subset)
+        assert mentioned(restricted) == subset
         kept = np.ix_(sorted(subset), sorted(subset))
         assert np.array_equal(restricted.relation_codes()[kept], order.relation_codes()[kept])
 
@@ -107,7 +115,7 @@ class TestMassProperties:
 
     @given(mass_functions())
     def test_swap_is_an_involution(self, m):
-        assert m.swapped().swapped() == m
+        assert swapped(swapped(m)) == m
 
 
 def _distance_tables():
@@ -151,7 +159,7 @@ class TestMetricAxioms:
         # strict flip; ties break the coincidence (all-tied vs chain scores
         # 0.5 classically but 1.0 directly), so only strict orders qualify
         orders, tables = distance_tables
-        strict = [i for i, o in enumerate(orders) if len(o.classes) == o.universe_size]
+        strict = [i for i, o in enumerate(orders) if len(classes(o)) == o.universe_size]
         assert len(strict) == 6
         reference = tables["classical"]
         for name, table in tables.items():
@@ -255,7 +263,7 @@ class TestNormalizers:
         raw = tables["direct"] * direct_distance(orders[1], orders[2]).max
         assert raw.max() == pytest.approx(math.sqrt(12))
         chain = chain_order(3)
-        assert direct_distance(chain, chain.reverse()).raw == pytest.approx(math.sqrt(12))
+        assert direct_distance(chain, reverse(chain)).raw == pytest.approx(math.sqrt(12))
 
 
 class TestBruteForceSymmetry:
@@ -292,9 +300,9 @@ def overlapping_pairs(draw):
     n = draw(st.integers(2, 6))
     total = draw(weak_orders(min_n=n, max_n=n, total=True))
     other = draw(weak_orders(min_n=n, max_n=n, total=True))
-    other = draw(st.sampled_from([total, total.reverse(), other]))
+    other = draw(st.sampled_from([total, reverse(total), other]))
     subsets = st.sets(st.integers(0, n - 1))
-    return total.restrict(draw(subsets)), other.restrict(draw(subsets))
+    return restrict(total, draw(subsets)), restrict(other, draw(subsets))
 
 
 @settings(deadline=None)
