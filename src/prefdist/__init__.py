@@ -17,33 +17,6 @@ are also tie-free (``A > B > C`` against ``(A = B) > C`` reads 0.2887
 classically, 0.5774 by ``direct`` and 0.4082 by ``indirect-j``).
 """
 
-from .belief import (
-    ATOM_EQUIV,
-    ATOM_PREC,
-    ATOM_SUCC,
-    FULL_FRAME,
-    BbaMatrix,
-    BbaMetric,
-    DistanceReport,
-    MassFunction,
-    bba_from_relation,
-    bba_matrix_from_json,
-    belief_interval_distance,
-    build_bba_matrix,
-    direct_distance,
-    direct_distance_general,
-    indirect_distance,
-    indirect_psm,
-    jousselme_distance,
-    load_bba_matrix,
-)
-from .bfm import Attitude, BfmReport, bfm_distance
-from .enumeration import (
-    DEFAULT_ENUMERATION_CAP,
-    CompatibleSet,
-    compatible_tpos,
-    enumerate_weak_orders,
-)
 from .errors import (
     BbaFormatError,
     CapExceededError,
@@ -67,10 +40,27 @@ from .model import (
     render_preference,
 )
 from .psm import (
+    BbaMetric,
+    DistanceReport,
     PsmConvention,
+    direct_distance,
+    indirect_distance,
     max_psm_distance,
     normalized_distance,
 )
+
+
+def __getattr__(name: str) -> object:
+    """The public names that need numpy, imported on first access (PEP 562),
+    so that importing the package or its command line loads no numpy."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import belief, bfm, enumeration
+
+    value = next(getattr(m, name) for m in (belief, bfm, enumeration) if hasattr(m, name))
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Belief-mass encoding of pairwise preferences and the distances built on it.
+"""Mass functions over the pairwise frame, grids of them, and their distances.
 
 Each ordered object pair (i, j) gets a three-state frame — i strictly
 preferred, tied, i strictly dispreferred — and a mass function over its eight
@@ -10,6 +10,13 @@ Subsets are addressed by bitmask (bit 0 = preferred, bit 1 = tied, bit 2 =
 dispreferred), and the mask doubles as the index into the 8-component mass
 vector: empty set, {succ}, {equiv}, {succ, equiv}, {prec}, {succ, prec},
 {equiv, prec}, full frame.
+
+The distances between two orders, ``direct`` and ``indirect-*``, need none of
+this: each order-based grid is a lookup on relation codes, so they count
+code pairs in :mod:`prefdist.psm`.  This module builds the grids
+(:func:`build_bba_matrix`, :func:`indirect_psm`), reads and compares grids of
+arbitrary masses (:func:`load_bba_matrix`, :func:`direct_distance_general`),
+and defines the metrics whose values the indirect cost tables hold.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from itertools import chain, repeat
 from typing import IO, Any
 
@@ -33,7 +39,7 @@ from .errors import (
     UnnormalizedMassError,
 )
 from .model import PairRelation, WeakOrder, common_size
-from .psm import category_distance, max_distance, pair_cost
+from .psm import _DIRECT_COST, BbaMetric, DistanceReport, _report
 
 ATOM_SUCC = 0b001
 ATOM_EQUIV = 0b010
@@ -229,22 +235,9 @@ def belief_interval_distance(m1: MassFunction, m2: MassFunction) -> float:
     return math.sqrt(_INTERVAL_SCALE * total)
 
 
-class BbaMetric(Enum):
-    """Distance between two mass functions used by the indirect method."""
-
-    JOUSSELME = "jousselme"
-    BELIEF_INTERVAL = "belief-interval"
-
-
 _METRIC_FN = {
     BbaMetric.JOUSSELME: jousselme_distance,
     BbaMetric.BELIEF_INTERVAL: belief_interval_distance,
-}
-
-#: The ``dist`` method name of each metric.
-_METRIC_METHOD_NAME = {
-    BbaMetric.JOUSSELME: "indirect-j",
-    BbaMetric.BELIEF_INTERVAL: "indirect-bi",
 }
 
 #: Reference mass for the indirect score: certain strict preference of row over column.
@@ -256,35 +249,6 @@ _CODE_SCORE = {
     metric: np.array([distance(mass, _SUCC_CERTAIN) for mass in _CODE_MASS])
     for metric, distance in _METRIC_FN.items()
 }
-
-#: Squared distance between two cells by relation codes: of the masses, of the indirect scores.
-_DIRECT_COST = pair_cost(_CODE_MASSES)
-_INDIRECT_COST = {metric: pair_cost(score) for metric, score in _CODE_SCORE.items()}
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Raw distance, the full-contradiction maximum, and their ratio."""
-
-    method: str
-    raw: float
-    max: float
-    normalized: float
-
-
-def _report(method: str, raw: float, n: int, cost: NDArray[np.float64]) -> DistanceReport:
-    maximum = max_distance(n, cost)
-    return DistanceReport(method, raw, maximum, raw / maximum)
-
-
-def direct_distance(ppo1: WeakOrder, ppo2: WeakOrder) -> DistanceReport:
-    """Distance between two (partial) orders through their full mass grids.
-
-    No enumeration is involved: cost is quadratic in the number of objects.
-    Normalization divides by the chain-vs-reversed-chain distance.
-    """
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    return _report("direct", category_distance(ppo1, ppo2, _DIRECT_COST), n, _DIRECT_COST)
 
 
 def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
@@ -309,20 +273,6 @@ def indirect_psm(ppo: WeakOrder, metric: BbaMetric) -> NDArray[np.float64]:
     ignorance lands strictly in between, and the diagonal is all ones.
     """
     return _CODE_SCORE[metric][ppo.relation_codes()]
-
-
-def indirect_distance(
-    ppo1: WeakOrder, ppo2: WeakOrder, metric: BbaMetric
-) -> DistanceReport:
-    """Frobenius distance between the two score-alike matrices, normalized.
-
-    A lossy compression of the pairwise evidence compared to the direct
-    method: the N x N matrix keeps only each cell's distance to the
-    reference, not the cell itself.
-    """
-    n = common_size(ppo1.universe_size, ppo2.universe_size)
-    cost = _INDIRECT_COST[metric]
-    return _report(_METRIC_METHOD_NAME[metric], category_distance(ppo1, ppo2, cost), n, cost)
 
 
 _FOCAL_KEY_TO_MASK = {

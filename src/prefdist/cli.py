@@ -13,6 +13,10 @@ argument is given.  Any other call (help, ``--flag=value``, an abbreviation, a
 value such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s
 file paths) goes to argparse, which keeps its own messages and exit codes.  The
 table is read from the parsers of ``_build_parser``, the one grammar.
+
+The handlers import ``bfm``, ``enumeration`` and the mass-grid loader when
+they run: those need numpy, and a ``dist`` call with a belief method, which
+needs none, then never loads it.
 """
 
 from __future__ import annotations
@@ -22,17 +26,8 @@ import functools
 import json
 import os
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .belief import (
-    _METRIC_METHOD_NAME,
-    direct_distance,
-    direct_distance_general,
-    indirect_distance,
-    load_bba_matrix,
-)
-from .bfm import Attitude, BfmReport, bfm_distance, grid_text
-from .enumeration import _check_size, _completion_rows
 from .errors import (
     CapExceededError,
     DegenerateUniverseError,
@@ -46,7 +41,16 @@ from .model import (
     render_preference,
     render_ranks,
 )
-from .psm import PsmConvention, max_psm_distance
+from .psm import (
+    _METRIC_METHOD_NAME,
+    PsmConvention,
+    direct_distance,
+    indirect_distance,
+    max_psm_distance,
+)
+
+if TYPE_CHECKING:
+    from .bfm import BfmReport
 
 EXIT_USAGE = 2
 EXIT_CAP = 3
@@ -99,6 +103,8 @@ def _emit(payload: dict[str, Any], fmt: str, report: BfmReport | None = None) ->
     """Print ``payload`` as one JSON object or as a table; a bfm reply's grid,
     at its "grid" key, is written from ``report`` in blocks of rows."""
     write = sys.stdout.write
+    if report is not None:
+        from .bfm import grid_text
     if fmt == "json":
         if report is None:
             print(json.dumps(payload))
@@ -144,6 +150,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     }
     try:
         if args.method == "bfm":
+            from .bfm import Attitude, bfm_distance
+
             report = bfm_distance(pref1, pref2, alpha=alpha, cap=_effective_cap(args.cap))
         elif args.method == "direct":
             report = direct_distance(pref1, pref2)
@@ -177,6 +185,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist_general(args: argparse.Namespace) -> int:
+    from .belief import direct_distance_general, load_bba_matrix
+
     matrices = []
     for field, path in (("bba1", args.bba1), ("bba2", args.bba2)):
         try:
@@ -206,6 +216,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.n is not None and args.n != len(universe):
             raise _UsageError("--n", f"disagrees with the {len(universe)} labels in --objects")
     elif args.n is not None:
+        from .enumeration import _check_size
+
         if args.n < 1:
             raise _UsageError("--n", "must be at least 1")
         _check_size(args.n, _effective_cap(args.cap))  # before n labels are built
@@ -227,6 +239,8 @@ def _cmd_compatible(args: argparse.Namespace) -> int:
 def _print_orders(fixed: tuple[int, ...], universe: ObjectUniverse, cap: int | None) -> int:
     """Print every completion of the rank vector ``fixed``, converting 4096
     rows at a time, and return how many there are."""
+    from .enumeration import _completion_rows
+
     ranks = _completion_rows(fixed, _effective_cap(cap))
     for start in range(0, len(ranks), 4096):
         rows = ranks[start : start + 4096].tolist()

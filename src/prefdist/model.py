@@ -23,10 +23,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import filterfalse
-from typing import Iterable, Sequence
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DegenerateUniverseError,
@@ -37,6 +34,10 @@ from .errors import (
     PreferenceSyntaxError,
     UnknownObjectError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
 
 
 class PairRelation(Enum):
@@ -157,6 +158,8 @@ class WeakOrder:
 
 def _relation_codes(*rank_tuples: Sequence[int]) -> NDArray[np.int8]:
     """The stacked :meth:`WeakOrder.relation_codes` of equal-length rank tuples."""
+    import numpy as np  # only here: the distances themselves need no numpy
+
     n = len(rank_tuples[0])
     # rank differences lie in [-n, n], so the type of -n - 1 holds them unwrapped
     ranks = np.array(rank_tuples, dtype=np.min_scalar_type(-n - 1))
@@ -191,22 +194,24 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
             f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
             "or a tie of two or more names, such as '(A = B)'"
         )
-    groups = "".join(text.split()).replace("(", "").replace(")", "").split(">")
+    # the names, and a ">" between groups: one word each
+    words = text.replace("(", " ").replace(")", " ").replace("=", " ").replace(">", " > ").split()
     ranks = [-1] * len(universe)
-    named = 0
+    positions = universe._positions
+    pos = 0
     try:
-        for pos, group in enumerate(groups):
-            members = group.split("=")
-            named += len(members)
-            for label in members:
-                ranks[universe._positions[label]] = pos
+        for word in words:
+            if word == ">":
+                pos += 1
+            else:
+                ranks[positions[word]] = pos
     except KeyError:
         pass  # an unknown object: fewer ranks are set than names are read
-    if ranks.count(-1) != len(ranks) - named:
+    if ranks.count(-1) != len(ranks) - len(words) + words.count(">"):
         # An unknown or a repeated object: name the first, group by group,
         # a repeat within a group before an unknown.
         seen: set[str] = set()
-        for group in groups:
+        for group in "".join(text.split()).replace("(", "").replace(")", "").split(">"):
             members = group.split("=")
             for label in members:
                 if label in seen:

@@ -17,6 +17,7 @@ from prefdist import (
     IndexOutOfRangeError,
     MassFunction,
     PairRelation,
+    PsmConvention,
     WeakOrder,
     enumerate_weak_orders,
 )
@@ -144,6 +145,19 @@ _SWAPPED_MASK = (0, 4, 2, 6, 1, 5, 3, 7)
 def swapped(m):
     """The same evidence read in the reversed pair orientation (j, i)."""
     return MassFunction(tuple(m.masses[k] for k in _SWAPPED_MASK))
+
+
+#: Per convention, the score of the relation codes SUCC, EQUIV and PREC; a
+#: total order has no UNKNOWN.
+CODE_SCORE = {
+    PsmConvention.SIGNED: np.array([1.0, 0.0, -1.0]),
+    PsmConvention.UNIT: np.array([1.0, 0.5, 0.0]),
+}
+
+
+def pair_cost(values):
+    """Squared distance of every two codes' values, summed over any trailing axis."""
+    return np.atleast_3d(np.square(values[:, None] - values)).sum(axis=-1)
 
 
 def all_partial_orders(n):

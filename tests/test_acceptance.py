@@ -31,9 +31,8 @@ from prefdist import (
     parse_preference,
     render_preference,
 )
-from prefdist.psm import _CODE_SCORE
 
-from strategies import chain_order, reverse, swapped
+from strategies import CODE_SCORE, chain_order, reverse, swapped
 from test_differential import reference_build_psm
 
 TOL = 5e-5
@@ -261,7 +260,7 @@ def test_criterion_10_property_suites():
 
     # signed score matrices are anti-symmetric
     for order in orders:
-        entries = _CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
+        entries = CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
         assert np.array_equal(entries.T, -entries)
 
     # mass grids mirror across the diagonal

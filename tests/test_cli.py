@@ -24,6 +24,13 @@ from test_cli_fuzz import argv_calls
 TOL = 5e-5
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this prefdist."""
+    src = str(Path(prefdist.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -425,12 +432,9 @@ class TestDistGeneral:
         # a fresh interpreter, so that a numpy RuntimeWarning would reach stderr
         path = tmp_path / "inf.json"
         path.write_text('{"n": 1, "cells": [[{"1": Infinity, "2": -Infinity}]]}')
-        src = str(Path(prefdist.__file__).resolve().parents[1])
-        path_entries = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
         done = subprocess.run(
             [sys.executable, "-m", "prefdist", "dist-general", str(path), str(path)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=fresh_env(),
         )
         assert done.returncode == 2
         assert done.stdout == ""
@@ -585,6 +589,34 @@ class TestRepeatedCalls:
             capsys, "dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"
         )
         assert payload["method"] == "direct"
+
+
+class TestBeliefCallsLoadNoNumpy:
+    """The package, its command line and the belief methods run without numpy;
+    the first call that needs it imports it."""
+
+    SCRIPT = """
+import sys
+import prefdist
+import prefdist.cli as cli
+assert "numpy" not in sys.modules
+argv = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method"]
+assert cli.main(argv + ["direct"]) == 0
+assert cli.main(argv + ["indirect-j"]) == 0
+assert "numpy" not in sys.modules, sorted(name for name in sys.modules if "numpy" in name)
+assert cli.main(argv + ["bfm"]) == 0
+assert "numpy" in sys.modules
+"""
+
+    def test_direct_and_indirect_calls_then_a_bfm_call(self):
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=fresh_env()
+        )
+        assert done.returncode == 0, done.stderr
+        replies = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [reply["method"] for reply in replies] == ["direct", "indirect-j", "bfm"]
+        normalized = [round(reply["normalized"], 4) for reply in replies]
+        assert normalized == [0.8165, 0.4832, 0.6966]
 
 
 def parse_outcome(parse, argv):

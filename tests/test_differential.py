@@ -14,7 +14,9 @@ the command line, one ``json.dumps`` of the whole reply and one ``repr`` per
 table cell; for preference text, a character-loop tokenizer and a
 recursive-descent parser, and the group loop that split every text on ``>``
 and ``=`` (the oracle of the error messages); for the pair-category table,
-one int64-ranked code array per order and one ``bincount`` of the two.
+one int64-ranked code array per order and one ``bincount`` of the two, and
+the library's own N x N route before its bit-mask kernel: a ``bincount`` of
+the stacked relation codes, summed by numpy.
 They are slow and stay here only as oracles.
 """
 
@@ -69,17 +71,18 @@ from prefdist import (
     render_preference,
 )
 from prefdist import bfm, cli
-from prefdist.belief import _DIRECT_COST
 from prefdist.enumeration import _completions
 from prefdist.model import _LABEL, _relation_codes, render_ranks
-from prefdist.psm import _CODE_SCORE, _COST, _category_counts
+from prefdist.psm import _COST, _DIRECT_COST, _INDIRECT_COST, _category_counts
 
 from strategies import (
+    CODE_SCORE,
     ReferenceWeakOrder,
     all_partial_orders,
     chain_order,
     classes,
     mentioned,
+    pair_cost,
     preference_texts,
     reference_order_of_ranks,
     restrict,
@@ -469,6 +472,18 @@ def reference_category_counts(order1: WeakOrder, order2: WeakOrder) -> np.ndarra
     return np.bincount(codes.ravel(), minlength=16).reshape(4, 4)
 
 
+def bincount_category_counts(order1: WeakOrder, order2: WeakOrder) -> np.ndarray:
+    """The pair-category table K as the library counted it over N^2 cells."""
+    codes = _relation_codes(order1.rank_tuple, order2.rank_tuple)
+    return np.bincount((4 * codes[0] + codes[1]).ravel(), minlength=16).reshape(4, 4)
+
+
+def bincount_distance(order1: WeakOrder, order2: WeakOrder, cost) -> float:
+    """The library's distance expression over the oracle's K, summed by numpy."""
+    k = bincount_category_counts(order1, order2)
+    return math.sqrt(float(((k + k.T) * np.array(cost)).sum()) / 2)
+
+
 def reference_emit(payload, fmt, report=None):  # renders every cell of the payload's grid
     if "grid" in payload:  # the payload carries the squared distances k
         maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
@@ -708,19 +723,84 @@ class TestEncoding:
         assert build_bba_matrix(order) == reference_bba_matrix(order)
 
 
+@st.composite
+def kernel_pairs(draw, max_n=70):
+    """Two orders over 2..max_n objects, each partial, total, mentioning
+    nothing, or one tie of some or all objects."""
+    n = draw(st.integers(2, max_n))
+
+    def order():
+        kind = draw(st.sampled_from(["partial", "total", "nothing", "tie"]))
+        if kind == "nothing":
+            return WeakOrder((), n)
+        if kind == "tie":
+            return WeakOrder([draw(st.sets(st.integers(0, n - 1), min_size=1))], n)
+        return draw(weak_orders(min_n=n, max_n=n, total=kind == "total"))
+
+    return order(), order()
+
+
+def kernel_table(a, b):
+    return _category_counts(a.rank_tuple, b.rank_tuple)
+
+
+def assert_kernel_is_the_bincount_oracle(a, b):
+    """K, and every distance read from it, bit for bit as the N x N route gave them."""
+    counts = kernel_table(a, b)
+    assert {type(c) for row in counts for c in row} == {int}
+    assert np.array_equal(counts, bincount_category_counts(a, b)), (a, b)
+    assert direct_distance(a, b).raw == bincount_distance(a, b, _DIRECT_COST)
+    for metric, cost in _INDIRECT_COST.items():
+        assert indirect_distance(a, b, metric).raw == bincount_distance(a, b, cost)
+    if a.is_total and b.is_total:
+        cost = _COST[PsmConvention.SIGNED]
+        expected = bincount_distance(a, b, cost) / reference_max_psm_distance(
+            a.universe_size, PsmConvention.SIGNED
+        )
+        assert normalized_distance(a, b) == expected
+
+
+def seeded_order(rng, n):
+    """Ranks over about 80 % of n objects, each next one tied with the last at 30 %."""
+    ranks = [-1] * n
+    rank = -1
+    for i in rng.permutation(n).tolist():
+        if rng.random() < 0.8:
+            if rank < 0 or rng.random() >= 0.3:
+                rank += 1
+            ranks[i] = rank
+    return WeakOrder.from_ranks(ranks)
+
+
 class TestCategoryCounts:
     @settings(max_examples=200, deadline=None)
     @given(pair=order_pairs(max_n=70) | order_pairs(max_n=70, total=True))
     def test_table_is_the_two_array_bincount(self, pair):
-        counts = _category_counts(*pair)
-        assert counts.dtype.kind == "i"
-        assert np.array_equal(counts, reference_category_counts(*pair))
+        assert np.array_equal(kernel_table(*pair), reference_category_counts(*pair))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_pairs())
+    def test_table_and_values_are_the_library_bincount(self, pair):
+        assert_kernel_is_the_bincount_oracle(*pair)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 70])
-    def test_empty_and_total_orders(self, n):
-        orders = (WeakOrder((), n), chain_order(n), reverse(chain_order(n)))
+    def test_empty_tied_and_total_orders(self, n):
+        orders = (
+            WeakOrder((), n),
+            WeakOrder([range(n)], n),
+            chain_order(n),
+            reverse(chain_order(n)),
+        )
         for a, b in itertools.product(orders, repeat=2):
-            assert np.array_equal(_category_counts(a, b), reference_category_counts(a, b))
+            assert np.array_equal(kernel_table(a, b), reference_category_counts(a, b))
+            assert_kernel_is_the_bincount_oracle(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exact_at_two_thousand_objects(self, seed):
+        """Masks of 2000 bits, past every machine word; one pair per seed, read
+        by every method (direct and indirect-j among them)."""
+        rng = np.random.default_rng(seed)
+        assert_kernel_is_the_bincount_oracle(seeded_order(rng, 2000), seeded_order(rng, 2000))
 
     @pytest.mark.parametrize("n", [127, 128, 129])
     def test_stacked_codes_match_relation_at_the_int8_edge(self, n):
@@ -1057,7 +1137,7 @@ def test_max_psm_distance_is_exact(n, convention):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_score_table_is_bitwise_the_per_order_construction(n, convention):
     for order in enumerate_weak_orders(n):
-        entries = _CODE_SCORE[convention][order.relation_codes()]
+        entries = CODE_SCORE[convention][order.relation_codes()]
         expected = reference_build_psm(order, convention)
         assert entries.dtype == expected.dtype and entries.shape == expected.shape
         assert entries.tobytes() == expected.tobytes(), order
@@ -1090,9 +1170,21 @@ class TestClassicalDistance:
 
     def test_cost_tables_hold_their_hand_values(self):
         assert np.array_equal(_DIRECT_COST, 2 * (1 - np.eye(4)))
-        signed = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+        signed = np.array([[0, 1, 4, 0], [1, 0, 1, 0], [4, 1, 0, 0], [0, 0, 0, 0]])
         assert np.array_equal(_COST[PsmConvention.SIGNED], signed)
         assert np.array_equal(_COST[PsmConvention.UNIT], signed / 4)
+
+    def test_cost_literals_are_their_definitions_bit_for_bit(self):
+        masses = np.array([bba_from_relation(relation).masses for relation in PairRelation])
+        assert np.array(_DIRECT_COST).tobytes() == pair_cost(masses).tobytes()
+        for metric, distance in REFERENCE_METRIC.items():
+            scores = [distance(bba_from_relation(r), SUCC_CERTAIN) for r in PairRelation]
+            expected = pair_cost(np.array(scores)).tobytes()
+            assert np.array(_INDIRECT_COST[metric]).tobytes() == expected
+        for convention, scores in CODE_SCORE.items():
+            table = np.array(_COST[convention])  # a total order has no UNKNOWN
+            assert table[:3, :3].tobytes() == pair_cost(scores).tobytes()
+            assert not table[3].any() and not table[:, 3].any()
 
     def test_a_partial_operand_is_rejected(self):
         total = chain_order(3)

@@ -21,7 +21,9 @@ from prefdist import (
     MassFunction,
     ObjectUniverse,
     PsmConvention,
+    WeakOrder,
     bfm_distance,
+    compatible_tpos,
     direct_distance,
     enumerate_weak_orders,
     indirect_distance,
@@ -31,9 +33,9 @@ from prefdist import (
     render_preference,
 )
 from prefdist.enumeration import _completion_count
-from prefdist.psm import _CODE_SCORE
 
 from strategies import (
+    CODE_SCORE,
     all_partial_orders,
     chain_order,
     classes,
@@ -277,6 +279,58 @@ class TestBruteForceSymmetry:
             assert forward.pessim == pytest.approx(backward.pessim)
 
 
+def relabel(order, perm):
+    """``order`` with object i renamed ``perm[i]``."""
+    ranks = [0] * order.universe_size
+    for i, rank in zip(perm, order.rank_tuple):
+        ranks[i] = rank
+    return WeakOrder.from_ranks(ranks)
+
+
+def completion_rows(order, perm):
+    """For each completion of ``order``, in order, the row of its relabeled
+    self among the completions of ``relabel(order, perm)``."""
+    moved = compatible_tpos(relabel(order, perm)).ranks.tolist()
+    index = {tuple(row): k for k, row in enumerate(moved)}
+    rows = compatible_tpos(order).ranks[:, np.argsort(perm)].tolist()
+    return [index[tuple(row)] for row in rows]
+
+
+class TestRelabelingAndReversal:
+    """Renaming the objects, or reversing both orders, moves no bit of any
+    distance: the pair-category kernel and bfm's histogram see the same pairs."""
+
+    @given(st.integers(2, 64), st.data())
+    def test_belief_raw_values(self, n, data):
+        a = data.draw(weak_orders(min_n=n, max_n=n))
+        b = data.draw(weak_orders(min_n=n, max_n=n))
+        perm = data.draw(st.permutations(range(n)))
+
+        def raws(x, y):
+            reports = [direct_distance(x, y)] + [indirect_distance(x, y, m) for m in BbaMetric]
+            return [report.raw.hex() for report in reports]
+
+        expected = raws(a, b)
+        assert raws(relabel(a, perm), relabel(b, perm)) == expected
+        assert raws(reverse(a), reverse(b)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_bfm_scalars_counts_and_grid(self, n, data):
+        a = data.draw(weak_orders(min_n=n, max_n=n))
+        b = data.draw(weak_orders(min_n=n, max_n=n))
+        perm = data.draw(st.permutations(range(n)))
+        report = bfm_distance(a, b)
+        expected = [getattr(report, f).hex() for f in ("optim", "pessim", "aver")]
+        for x, y in ((relabel(a, perm), relabel(b, perm)), (reverse(a), reverse(b))):
+            other = bfm_distance(x, y)
+            assert [getattr(other, f).hex() for f in ("optim", "pessim", "aver")] == expected
+            assert np.array_equal(other.counts, report.counts)
+        moved = bfm_distance(relabel(a, perm), relabel(b, perm)).squared
+        rows, cols = completion_rows(a, perm), completion_rows(b, perm)
+        assert np.array_equal(moved[np.ix_(rows, cols)], report.squared)
+
+
 def agree_on_overlap(a, b):
     """Whether ``a`` and ``b`` relate alike every pair of objects that both mention."""
     codes_a, codes_b = a.relation_codes(), b.relation_codes()
@@ -319,7 +373,7 @@ def test_bfm_optim_is_zero_exactly_when_the_orders_agree_up_to_six_objects(pair)
 class TestPsmStructure:
     @given(weak_orders(min_n=2, max_n=5, total=True))
     def test_signed_matrix_antisymmetric(self, order):
-        entries = _CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
+        entries = CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
         assert np.array_equal(entries.T, -entries)
 
     @given(st.integers(2, 5), st.data())

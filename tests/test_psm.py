@@ -13,8 +13,8 @@ from prefdist import (
     max_psm_distance,
     normalized_distance,
 )
-from prefdist.psm import _CODE_SCORE
 
+from strategies import CODE_SCORE
 from test_differential import reference_build_psm
 
 TOL = 5e-5
@@ -22,7 +22,7 @@ TOL = 5e-5
 
 def scores(order, convention):
     """The score matrix that the classical distance reads off the relation codes."""
-    return _CODE_SCORE[convention][order.relation_codes()]
+    return CODE_SCORE[convention][order.relation_codes()]
 
 
 def raw_distance(a, b, convention):
