@@ -16,13 +16,14 @@ this: each order-based grid is a lookup on relation codes, so they count
 code pairs in :mod:`prefdist.psm`.  This module builds the grids
 (:func:`build_bba_matrix`, :func:`indirect_psm`), reads and compares grids of
 arbitrary masses (:func:`load_bba_matrix`, :func:`direct_distance_general`),
-and defines the metrics whose values the indirect cost tables hold.
+and defines the metrics whose values the indirect scores in :mod:`prefdist.psm` hold.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -39,7 +40,7 @@ from .errors import (
     UnnormalizedMassError,
 )
 from .model import PairRelation, WeakOrder, common_size
-from .psm import _DIRECT_COST, BbaMetric, DistanceReport, _report
+from .psm import _DIRECT_COST, _INDIRECT_SCORE, BbaMetric, DistanceReport, _report
 
 ATOM_SUCC = 0b001
 ATOM_EQUIV = 0b010
@@ -120,9 +121,13 @@ class MassFunction:
         """Build from a sparse {subset mask: mass} mapping."""
         values = [0.0] * 8
         for mask, mass in assignment.items():
-            if not 0 <= mask <= FULL_FRAME:
-                raise ValueError(f"subset mask must lie in 0..7, got {mask}")
-            values[mask] = mass
+            try:
+                index = operator.index(mask)
+            except TypeError:
+                index = -1
+            if not 0 <= index <= FULL_FRAME:
+                raise ValueError(f"subset mask must lie in 0..7, got {mask!r}")
+            values[index] = mass
         return cls(tuple(values))
 
     def bel(self, subset: int) -> float:
@@ -145,9 +150,8 @@ def bba_from_relation(relation: PairRelation) -> MassFunction:
     return MassFunction.certain(_CODE_MASK[list(PairRelation).index(relation)])
 
 
-#: The mass function of each relation code.
-_CODE_MASS = tuple(map(MassFunction.certain, _CODE_MASK))
-_CODE_MASSES = np.array(_CODE_MASS)
+#: The mass vector of each relation code.
+_CODE_MASSES = np.array(tuple(map(MassFunction.certain, _CODE_MASK)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,22 +239,6 @@ def belief_interval_distance(m1: MassFunction, m2: MassFunction) -> float:
     return math.sqrt(_INTERVAL_SCALE * total)
 
 
-_METRIC_FN = {
-    BbaMetric.JOUSSELME: jousselme_distance,
-    BbaMetric.BELIEF_INTERVAL: belief_interval_distance,
-}
-
-#: Reference mass for the indirect score: certain strict preference of row over column.
-_SUCC_CERTAIN = MassFunction.certain(ATOM_SUCC)
-
-#: Per metric, the indirect score of each relation code: a cell's score
-#: depends only on its relation, so four metric calls cover every grid.
-_CODE_SCORE = {
-    metric: np.array([distance(mass, _SUCC_CERTAIN) for mass in _CODE_MASS])
-    for metric, distance in _METRIC_FN.items()
-}
-
-
 def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
     """Direct distance for caller-supplied mass grids.
 
@@ -272,7 +260,7 @@ def indirect_psm(ppo: WeakOrder, metric: BbaMetric) -> NDArray[np.float64]:
     Certain strict preference scores 0, certain reversal or tie scores 1,
     ignorance lands strictly in between, and the diagonal is all ones.
     """
-    return _CODE_SCORE[metric][ppo.relation_codes()]
+    return np.array(_INDIRECT_SCORE[metric])[ppo.relation_codes()]
 
 
 _FOCAL_KEY_TO_MASK = {

@@ -3,20 +3,22 @@
 A cell of a preference score matrix, a direct mass grid or an indirect score
 matrix is a lookup on its pair's relation code (see
 :meth:`WeakOrder.relation_codes`), so each distance counts the cells per pair
-of codes and weighs them by a cost table, without building any matrix.  This
-module holds the classical distance between total orders and the belief
-distances ``direct`` and ``indirect-*`` between partial ones; it needs no
-numpy, whose import would cost a ``prefdist dist`` call more than its answer.
+of codes and weighs them by a cost table, without building any matrix.  Each
+method is stated once, as its value per relation code, and its cost table is
+derived from those values.  This module holds the classical distance between
+total orders and the belief distances ``direct`` and ``indirect-*`` between
+partial ones; it needs no numpy, whose import would cost a ``prefdist dist``
+call more than its answer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import and_, mul, or_
 
 from .errors import NotTotalError
 from .model import WeakOrder, common_size
@@ -42,52 +44,35 @@ _METRIC_METHOD_NAME = {
     BbaMetric.BELIEF_INTERVAL: "indirect-bi",
 }
 
-# Squared distance between two cells, by their relation codes SUCC, EQUIV,
-# PREC and UNKNOWN.  Tests derive each table from its definition, bit for bit.
+#: The value of each relation code SUCC, EQUIV, PREC and UNKNOWN, from which
+#: each method's cost table follows.  For ``direct`` it is the cell's mass
+#: vector over the four subsets an order's cells hold.  An indirect score is
+#: the cell's metric distance to certain strict preference; tests derive these
+#: literals bit for bit.  A classical score is the score-matrix entry; the
+#: classical distance takes total orders only, so UNKNOWN's score, the tie's,
+#: is never read.
+_DIRECT_MASS = tuple(tuple(float(a == b) for b in range(4)) for a in range(4))
+_INDIRECT_SCORE = {
+    BbaMetric.JOUSSELME: (0.0, 1.0, 1.0, 0.816496580927726),
+    BbaMetric.BELIEF_INTERVAL: (0.0, 1.0, 1.0, 0.7071067811865475),
+}
+_SCORE = {
+    PsmConvention.SIGNED: (1.0, 0.0, -1.0, 0.0),
+    PsmConvention.UNIT: (1.0, 0.5, 0.0, 0.5),
+}
+
 _Cost = tuple[tuple[float, ...], ...]
-#: Of the cells' mass functions, each certain on its code's subset.
-_DIRECT_COST = (
-    (0.0, 2.0, 2.0, 2.0),
-    (2.0, 0.0, 2.0, 2.0),
-    (2.0, 2.0, 0.0, 2.0),
-    (2.0, 2.0, 2.0, 0.0),
-)
-#: Of the cells' indirect scores: their metric distance to certain preference.
-_INDIRECT_COST = {
-    BbaMetric.JOUSSELME: (
-        (0.0, 1.0, 1.0, 0.6666666666666666),
-        (1.0, 0.0, 0.0, 0.0336735048112146),
-        (1.0, 0.0, 0.0, 0.0336735048112146),
-        (0.6666666666666666, 0.0336735048112146, 0.0336735048112146, 0.0),
-    ),
-    BbaMetric.BELIEF_INTERVAL: (
-        (0.0, 1.0, 1.0, 0.4999999999999999),
-        (1.0, 0.0, 0.0, 0.085786437626905),
-        (1.0, 0.0, 0.0, 0.085786437626905),
-        (0.4999999999999999, 0.085786437626905, 0.085786437626905, 0.0),
-    ),
-}
-#: Of the cells' scores, per convention; a total order has no UNKNOWN.
-_COST = {
-    PsmConvention.SIGNED: (
-        (0.0, 1.0, 4.0, 0.0),
-        (1.0, 0.0, 1.0, 0.0),
-        (4.0, 1.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 0.0),
-    ),
-    PsmConvention.UNIT: (
-        (0.0, 0.25, 1.0, 0.0),
-        (0.25, 0.0, 0.25, 0.0),
-        (1.0, 0.25, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 0.0),
-    ),
-}
 
 
-def _tied_pairs(masks: Iterable[int]) -> int:
-    """Unordered pairs of objects that share a class, the classes as bit masks."""
-    sizes = list(map(int.bit_count, masks))
-    return (sum(map(mul, sizes, sizes)) - sum(sizes)) // 2
+def _cost(values: Iterable[float | tuple[float, ...]]) -> _Cost:
+    """Squared distance between the cells of every two codes, given each code's value."""
+    vectors = [v if isinstance(v, tuple) else (v,) for v in values]
+    return tuple(tuple(sum((x - y) ** 2 for x, y in zip(u, v)) for v in vectors) for u in vectors)
+
+
+_DIRECT_COST = _cost(_DIRECT_MASS)
+_INDIRECT_COST = {metric: _cost(score) for metric, score in _INDIRECT_SCORE.items()}
+_COST = {convention: _cost(score) for convention, score in _SCORE.items()}
 
 
 def _category_counts(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -98,40 +83,28 @@ def _category_counts(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[tuple[in
     codes of (i, j), so the table follows from counts of unordered pairs: the
     pairs tied in either order, within B or within its own mentioned set; the
     pairs tied in both; and the discordant pairs, strict in both orders and in
-    opposite directions.  Each class is a bit mask over the objects, so the
-    last two counts take one AND and one popcount per object.  Up to a machine
-    word of objects that is linear in N; past it, time and memory grow as N
-    bits per class.
+    opposite directions.  Knight's sort-and-count gives the last: B sorted by
+    order-1 rank, then order-2 rank, and each object's order-2 rank checked
+    against the sorted ranks of the objects before it.  The sort takes
+    O(N log N) time, memory is O(N), and the insertions move at most N
+    pointers each.  The tie counts are class sizes.
     """
     n = len(r1)
-    # bit i of cls[g] is set when object i has rank g; cls[-1], which rank -1
-    # reads, holds the unmentioned objects until it is cleared
-    cls1 = [0] * (max(r1, default=-1) + 2)
-    cls2 = [0] * (max(r2, default=-1) + 2)
-    bit = 1
-    for a, b in zip(r1, r2):
-        cls1[a] |= bit
-        cls2[b] |= bit
-        bit <<= 1
-    full = bit - 1
-    mentioned1, mentioned2 = full ^ cls1[-1], full ^ cls2[-1]
-    cls1[-1] = cls2[-1] = 0  # an unmentioned object pairs with nothing below
-    both = mentioned1 & mentioned2
-    # Objects j at or above object i's class in order 1 and at or below it in
-    # order 2: i itself, the pairs tied in either order and the discordant pairs.
-    at_or_above1 = list(accumulate(cls1, or_))
-    at_or_above1[-1] = 0  # it held every class; at_or_below2[-1] is cls2[-1], 0
-    at_or_below2 = list(accumulate(reversed(cls2), or_))[::-1]
-    dominated = sum(map(int.bit_count, map(
-        and_, map(at_or_above1.__getitem__, r1), map(at_or_below2.__getitem__, r2))))
-    same_cells = sum(map(int.bit_count, map(
-        and_, map(cls1.__getitem__, r1), map(cls2.__getitem__, r2))))
-    m1, m2, m = mentioned1.bit_count(), mentioned2.bit_count(), both.bit_count()
-    tied1, tied2 = _tied_pairs(cls1), _tied_pairs(cls2)  # within each mentioned set
-    tied1_b = _tied_pairs(map(and_, cls1, repeat(both)))
-    tied2_b = _tied_pairs(map(and_, cls2, repeat(both)))
-    tied_both = (same_cells - m) // 2
-    discordant = dominated - m - tied1_b - tied2_b
+    ranks1 = [a for a in r1 if a >= 0]
+    ranks2 = [b for b in r2 if b >= 0]
+    keys = sorted(a * (n + 1) + b for a, b in zip(r1, r2) if a >= 0 and b >= 0)
+    seen: list[int] = []  # the order-2 ranks of the objects before, sorted
+    discordant = 0
+    for i, key in enumerate(keys):
+        b = key % (n + 1)
+        discordant += i - bisect_right(seen, b)
+        insort(seen, b)
+    # pairs tied within each mentioned set, within B in each order, and in both
+    tied1, tied2, tied1_b, tied2_b, tied_both = (
+        sum(c * (c - 1) for c in Counter(ranks).values()) // 2
+        for ranks in (ranks1, ranks2, [key // (n + 1) for key in keys], seen, keys)
+    )
+    m1, m2, m = len(ranks1), len(ranks2), len(keys)
     pairs_b = m * (m - 1) // 2
     concordant = pairs_b - tied1_b - tied2_b + tied_both - discordant
     tie_strict, strict_tie = tied1_b - tied_both, tied2_b - tied_both

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -92,6 +93,12 @@ class TestMassFunction:
     @pytest.mark.parametrize("mask", [8, -1])
     def test_mask_outside_the_frame_rejected(self, mask):
         with pytest.raises(ValueError, match=f"subset mask must lie in 0..7, got {mask}$"):
+            MassFunction.from_masses({mask: 1.0})
+
+    @pytest.mark.parametrize("mask", [1.5, "1"])
+    def test_non_integer_mask_rejected_as_outside_the_frame(self, mask):
+        message = re.escape(f"subset mask must lie in 0..7, got {mask!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             MassFunction.from_masses({mask: 1.0})
 
     def test_swapped_exchanges_orientation(self):

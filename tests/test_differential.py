@@ -15,8 +15,8 @@ table cell; for preference text, a character-loop tokenizer and a
 recursive-descent parser, and the group loop that split every text on ``>``
 and ``=`` (the oracle of the error messages); for the pair-category table,
 one int64-ranked code array per order and one ``bincount`` of the two, and
-the library's own N x N route before its bit-mask kernel: a ``bincount`` of
-the stacked relation codes, summed by numpy.
+the library's own N x N route before its sort-and-count kernel: a ``bincount``
+of the stacked relation codes, summed by numpy.
 They are slow and stay here only as oracles.
 """
 
@@ -28,6 +28,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -73,7 +74,14 @@ from prefdist import (
 from prefdist import bfm, cli
 from prefdist.enumeration import _completions
 from prefdist.model import _LABEL, _relation_codes, render_ranks
-from prefdist.psm import _COST, _DIRECT_COST, _INDIRECT_COST, _category_counts
+from prefdist.psm import (
+    _COST,
+    _DIRECT_COST,
+    _INDIRECT_COST,
+    _INDIRECT_SCORE,
+    _SCORE,
+    _category_counts,
+)
 
 from strategies import (
     CODE_SCORE,
@@ -797,10 +805,35 @@ class TestCategoryCounts:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_exact_at_two_thousand_objects(self, seed):
-        """Masks of 2000 bits, past every machine word; one pair per seed, read
-        by every method (direct and indirect-j among them)."""
+        """One pair per seed, read by every method (direct and indirect-j among them)."""
         rng = np.random.default_rng(seed)
         assert_kernel_is_the_bincount_oracle(seeded_order(rng, 2000), seeded_order(rng, 2000))
+
+    def test_closed_forms_and_memory_at_twenty_thousand_objects(self):
+        """The bincount oracle would need about 800 MB here, so the tables are
+        their closed forms: a chain against its reversal, where every pair is
+        discordant, and against the order that ties its objects in twos, where
+        those N / 2 pairs are strict against tied and the rest concordant."""
+        n = 20_000
+        pairs = n * (n - 1) // 2
+        chain = tuple(range(n))
+        expected = {
+            tuple(reversed(chain)): ((0, 0, pairs, 0), (0, n, 0, 0), (pairs, 0, 0, 0), (0,) * 4),
+            tuple(i // 2 for i in chain): (
+                (pairs - n // 2, n // 2, 0, 0),
+                (0, n, 0, 0),
+                (0, n // 2, pairs - n // 2, 0),
+                (0,) * 4,
+            ),
+        }
+        tracemalloc.start()
+        try:
+            for other, table in expected.items():
+                tracemalloc.reset_peak()
+                assert _category_counts(chain, other) == table
+                assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n", [127, 128, 129])
     def test_stacked_codes_match_relation_at_the_int8_edge(self, n):
@@ -1170,21 +1203,30 @@ class TestClassicalDistance:
 
     def test_cost_tables_hold_their_hand_values(self):
         assert np.array_equal(_DIRECT_COST, 2 * (1 - np.eye(4)))
-        signed = np.array([[0, 1, 4, 0], [1, 0, 1, 0], [4, 1, 0, 0], [0, 0, 0, 0]])
-        assert np.array_equal(_COST[PsmConvention.SIGNED], signed)
-        assert np.array_equal(_COST[PsmConvention.UNIT], signed / 4)
+        signed = np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+        assert np.array_equal(np.array(_COST[PsmConvention.SIGNED])[:3, :3], signed)
+        assert np.array_equal(np.array(_COST[PsmConvention.UNIT])[:3, :3], signed / 4)
 
     def test_cost_literals_are_their_definitions_bit_for_bit(self):
         masses = np.array([bba_from_relation(relation).masses for relation in PairRelation])
         assert np.array(_DIRECT_COST).tobytes() == pair_cost(masses).tobytes()
         for metric, distance in REFERENCE_METRIC.items():
-            scores = [distance(bba_from_relation(r), SUCC_CERTAIN) for r in PairRelation]
-            expected = pair_cost(np.array(scores)).tobytes()
+            scores = np.array([distance(bba_from_relation(r), SUCC_CERTAIN) for r in PairRelation])
+            assert np.array(_INDIRECT_SCORE[metric]).tobytes() == scores.tobytes()
+            expected = pair_cost(scores).tobytes()
             assert np.array(_INDIRECT_COST[metric]).tobytes() == expected
         for convention, scores in CODE_SCORE.items():
-            table = np.array(_COST[convention])  # a total order has no UNKNOWN
-            assert table[:3, :3].tobytes() == pair_cost(scores).tobytes()
-            assert not table[3].any() and not table[:, 3].any()
+            assert np.array(_SCORE[convention][:3]).tobytes() == scores.tobytes()
+            expected = pair_cost(np.array(_SCORE[convention])).tobytes()
+            assert np.array(_COST[convention]).tobytes() == expected
+
+    def test_total_orders_leave_the_unknown_costs_unread(self):
+        """The classical tables' UNKNOWN row and column weigh no cell: K of two
+        total orders has a zero UNKNOWN row and column."""
+        pairs = [*TOTAL_PAIRS_UP_TO_FOUR, (chain_order(70), reverse(chain_order(70)))]
+        for a, b in pairs:
+            k = np.array(kernel_table(a, b))
+            assert not k[3].any() and not k[:, 3].any(), (a, b)
 
     def test_a_partial_operand_is_rejected(self):
         total = chain_order(3)

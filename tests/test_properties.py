@@ -1,8 +1,9 @@
 """Cross-module structural properties: metric axioms, dualities, involutions.
 
 The exhaustive checks run over every weak order of three objects, and the
-metric axioms also over every partial order of four; the randomized ones use
-hypothesis to sample orders and mass functions.
+metric axioms also over every partial order of three (with the bfm
+attitudes) and of four; the randomized ones use hypothesis to sample orders
+and mass functions.
 """
 
 import itertools
@@ -233,6 +234,46 @@ class TestMetricAxiomsAtFourAndFive:
             assert d(a, b) == d(b, a), name
             assert d(a, c) <= d(a, b) + d(b, c) + 1e-12, name
             assert (d(a, b) == 0.0) == (a == b), name
+
+
+@pytest.fixture(scope="module")
+def three_object_partial_tables():
+    """Distance tables over the 25 non-empty partial orders of three objects,
+    for the belief methods and the three bfm attitudes."""
+    orders = all_partial_orders(3)[1:]
+    tables = {
+        name: np.array([[d(a, b) for b in orders] for a in orders])
+        for name, d in ORDER_DISTANCES.items()
+    }
+    reports = [[bfm_distance(a, b) for b in orders] for a in orders]
+    for attitude in ("optim", "pessim", "aver"):
+        tables[attitude] = np.array([[getattr(r, attitude) for r in row] for row in reports])
+    return orders, tables
+
+
+class TestMetricStatusOfEveryPartialOrderOfThree:
+    """The 15,625 triples of non-empty partial orders of three objects: which
+    measures keep the triangle inequality, and which give an order a non-zero
+    distance to itself."""
+
+    def test_only_optim_breaks_the_triangle_inequality(self, three_object_partial_tables):
+        orders, tables = three_object_partial_tables
+        assert len(orders) == 25
+        breaks = {
+            name: int(np.sum(~(table[:, None, :] <= table[:, :, None] + table[None] + 1e-12)))
+            for name, table in tables.items()
+        }
+        assert breaks == {
+            "direct": 0, "jousselme": 0, "belief-interval": 0, "optim": 2424, "pessim": 0, "aver": 0
+        }
+
+    def test_pessim_and_aver_part_a_partial_order_from_itself(self, three_object_partial_tables):
+        orders, tables = three_object_partial_tables
+        partial = np.array([not order.is_total for order in orders])
+        assert partial.sum() == 12
+        for name, table in tables.items():
+            expected = partial if name in ("pessim", "aver") else np.zeros(25, dtype=bool)
+            assert np.array_equal(np.diag(table) != 0.0, expected), name
 
 
 class TestOperandSymmetryAtBeliefOrdersSizes:
