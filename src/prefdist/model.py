@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -50,18 +49,49 @@ class PairRelation(Enum):
 
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+")
-_GROUP = re.compile(r"\s*(?:{0}|\(\s*{0}(?:\s*=\s*{0})+\s*\))\s*".format(_LABEL.pattern))
-_ORDERING = re.compile("{0}(?:>{0})*".format(_GROUP.pattern))  # the grammar of the module docstring
+_GROUP = r"\s*(?:{0}|\(\s*{0}(?:\s*=\s*{0})+\s*\))\s*".format(_LABEL.pattern)
+_ORDERING = re.compile("{0}(?:>{0})*".format(_GROUP))  # the grammar of the module docstring
 
 
-@dataclass(frozen=True)
-class ObjectUniverse:
+class _Frozen:
+    """What ``@dataclass(frozen=True)`` gives a slotted class whose ``__match_args__``
+    names its fields.  A subclass sets them with ``object.__setattr__`` and rebuilds
+    itself in ``__reduce__``, as copy and pickle would restore them by assigning."""
+
+    # dataclasses would load inspect, ast, dis and tokenize; belief, bfm and enumeration
+    # keep @dataclass, as they load only after numpy, whose import loads inspect anyway
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+
+class ObjectUniverse(_Frozen):
     """Ordered collection of distinct object labels, each a name of the grammar."""
 
+    __slots__ = ("labels", "_positions")
+    __match_args__ = ("labels",)
     labels: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+    def __init__(self, labels: Iterable[str]) -> None:
+        labels = tuple(labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("universe must contain at least one object")
@@ -80,6 +110,9 @@ class ObjectUniverse:
                     raise DuplicateObjectError(f"duplicate object label {label!r}")
         object.__setattr__(self, "_positions", positions)
 
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.labels,)
+
     @classmethod
     def numbered(cls, n: int) -> "ObjectUniverse":
         """Universe with default labels ``x1 .. xn``."""
@@ -95,8 +128,7 @@ class ObjectUniverse:
             raise UnknownObjectError(f"unknown object {label!r}") from None
 
 
-@dataclass(frozen=True, init=False)
-class WeakOrder:
+class WeakOrder(_Frozen):
     """A weak order built from disjoint tie-classes, earlier classes winning.
 
     It stores ``rank_tuple``: each object's class position (0 = most
@@ -104,6 +136,7 @@ class WeakOrder:
     equal tuples.  :meth:`from_ranks` builds one from those positions.
     """
 
+    __slots__ = __match_args__ = ("rank_tuple",)
     rank_tuple: tuple[int, ...]
 
     def __init__(self, classes: Iterable[Iterable[int]], universe_size: int) -> None:
@@ -140,6 +173,9 @@ class WeakOrder:
         order = object.__new__(cls)
         object.__setattr__(order, "rank_tuple", rank_tuple)
         return order
+
+    def __reduce__(self) -> tuple:
+        return self.__class__._dense, (self.rank_tuple,)
 
     @property
     def universe_size(self) -> int:
@@ -189,7 +225,7 @@ def parse_preference(text: str, universe: ObjectUniverse) -> WeakOrder:
     if not _ORDERING.fullmatch(text):
         if not text.strip():
             raise EmptyExpressionError("empty preference expression")
-        group = next(filterfalse(_GROUP.fullmatch, text.split(">"))).strip()
+        group = next(filterfalse(re.compile(_GROUP).fullmatch, text.split(">"))).strip()
         raise PreferenceSyntaxError(
             f"malformed group {group!r}: expected an object name [A-Za-z0-9_]+ "
             "or a tie of two or more names, such as '(A = B)'"

@@ -17,8 +17,8 @@ import math
 from bisect import bisect_right, insort
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NotTotalError
 from .model import WeakOrder, common_size
@@ -161,8 +161,7 @@ def normalized_distance(tpo1: WeakOrder, tpo2: WeakOrder) -> float:
     return category_distance(tpo1, tpo2, cost) / max_distance(n, cost)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Raw distance, the full-contradiction maximum, and their ratio."""
 
     method: str

@@ -592,8 +592,9 @@ class TestRepeatedCalls:
 
 
 class TestBeliefCallsLoadNoNumpy:
-    """The package, its command line and the belief methods run without numpy;
-    the first call that needs it imports it."""
+    """The package, its command line and the belief methods run without numpy,
+    and without ``dataclasses`` and the modules it loads; the first call that
+    needs numpy imports it."""
 
     SCRIPT = """
 import sys
@@ -604,13 +605,24 @@ argv = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--met
 assert cli.main(argv + ["direct"]) == 0
 assert cli.main(argv + ["indirect-j"]) == 0
 assert "numpy" not in sys.modules, sorted(name for name in sys.modules if "numpy" in name)
+assert "dataclasses" not in sys.modules
+unneeded = set(sys.argv[1:]) & set(sys.modules)
+assert not unneeded, sorted(unneeded)
 assert cli.main(argv + ["bfm"]) == 0
 assert "numpy" in sys.modules
 """
 
     def test_direct_and_indirect_calls_then_a_bfm_call(self):
+        # what a bare interpreter loads in this environment is not the route's doing
+        modules = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=fresh_env(), check=True,
+        )
+        unneeded = sorted(set(modules) - set(bare.stdout.split()))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT], capture_output=True, text=True, env=fresh_env()
+            [sys.executable, "-c", self.SCRIPT, *unneeded],
+            capture_output=True, text=True, env=fresh_env(),
         )
         assert done.returncode == 0, done.stderr
         replies = [json.loads(line) for line in done.stdout.splitlines()]

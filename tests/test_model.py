@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -18,6 +20,49 @@ from prefdist import (
 )
 
 from strategies import chain_order, classes, mentioned, restrict, reverse
+
+
+def check_frozen_value(value, same, other, field, text):
+    """Pin the value semantics of a frozen value class: ``same`` is built apart
+    and equals ``value``, ``other`` differs in a field, ``field`` names one
+    field and ``text`` is the ``repr`` of ``value``."""
+    assert same is not value and same == value and not same != value
+    assert other != value and not other == value
+    assert value.__eq__(object()) is NotImplemented
+    assert hash(same) == hash(value)
+    assert repr(value) == text
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies.append(pickle.loads(pickle.dumps(value, protocol)))
+    for twin in copies:
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+    return copies
+
+
+class TestValueSemantics:
+    def test_object_universe(self):
+        universe = ObjectUniverse(("A", "B", "C"))
+        same, other = ObjectUniverse(["A", "B", "C"]), ObjectUniverse(("A", "C", "B"))
+        text = "ObjectUniverse(labels=('A', 'B', 'C'))"
+        for twin in check_frozen_value(universe, same, other, "labels", text):
+            assert twin.index("C") == 2 and len(twin) == 3
+        assert universe != ("A", "B", "C")
+
+    def test_weak_order(self, abc, pref):
+        order = pref("C > (A = B)")
+        same, other = WeakOrder.from_ranks((1, 1, 0)), pref("C > A")
+        text = "WeakOrder(rank_tuple=(1, 1, 0))"
+        for twin in check_frozen_value(order, same, other, "rank_tuple", text):
+            assert render_preference(twin, abc) == "C > (A = B)" and twin.is_total
+        assert order != (1, 1, 0)
+        assert repr(pref("C > A")) == "WeakOrder(rank_tuple=(1, -1, 0))"
 
 
 class TestObjectUniverse:

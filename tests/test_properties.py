@@ -9,7 +9,6 @@ and mass functions.
 import itertools
 import math
 import string
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -289,7 +288,7 @@ class TestOperandSymmetryAtBeliefOrdersSizes:
             for metric in BbaMetric
         ]
         for forward, backward in reports:
-            bits = [list(map(float.hex, astuple(r)[1:])) for r in (forward, backward)]
+            bits = [list(map(float.hex, (r.raw, r.max, r.normalized))) for r in (forward, backward)]
             assert bits[0] == bits[1], forward.method
             assert (forward.raw == 0.0) == same, forward.method
 

@@ -7,8 +7,10 @@ import pytest
 from prefdist import (
     DegenerateUniverseError,
     DimensionMismatchError,
+    DistanceReport,
     NotTotalError,
     PsmConvention,
+    direct_distance,
     enumerate_weak_orders,
     max_psm_distance,
     normalized_distance,
@@ -16,6 +18,7 @@ from prefdist import (
 
 from strategies import CODE_SCORE
 from test_differential import reference_build_psm
+from test_model import check_frozen_value
 
 TOL = 5e-5
 
@@ -132,3 +135,22 @@ class TestNormalizedDistance:
         for a, b in itertools.product(orders, orders):
             d = normalized_distance(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
+
+
+class TestDistanceReport:
+    def test_value_semantics(self, pref):
+        report = direct_distance(pref("C > A"), pref("A > B"))
+        same = DistanceReport("direct", report.raw, report.max, report.normalized)
+        other = direct_distance(pref("C > A"), pref("A > C"))
+        text = (
+            "DistanceReport(method='direct', raw=2.8284271247461903, "
+            "max=3.4641016151377544, normalized=0.8164965809277261)"
+        )
+        check_frozen_value(report, same, other, "raw", text)
+
+    def test_a_report_is_a_named_tuple(self, pref):
+        report = direct_distance(pref("C > A"), pref("A > B"))
+        method, raw, maximum, normalized = report
+        assert report == (method, raw, maximum, normalized) == tuple(report)
+        assert (method, raw / maximum) == ("direct", normalized)
+        assert report._fields == ("method", "raw", "max", "normalized")
