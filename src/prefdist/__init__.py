@@ -94,17 +94,14 @@ __all__ = [
     "UnknownObjectError",
     "UnnormalizedMassError",
     "WeakOrder",
-    "bba_from_relation",
     "bba_matrix_from_json",
     "belief_interval_distance",
     "bfm_distance",
-    "build_bba_matrix",
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
     "enumerate_weak_orders",
     "indirect_distance",
-    "indirect_psm",
     "jousselme_distance",
     "load_bba_matrix",
     "max_psm_distance",

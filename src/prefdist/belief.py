@@ -11,12 +11,14 @@ dispreferred), and the mask doubles as the index into the 8-component mass
 vector: empty set, {succ}, {equiv}, {succ, equiv}, {prec}, {succ, prec},
 {equiv, prec}, full frame.
 
-The distances between two orders, ``direct`` and ``indirect-*``, need none of
-this: each order-based grid is a lookup on relation codes, so they count
-code pairs in :mod:`prefdist.psm`.  This module builds the grids
-(:func:`build_bba_matrix`, :func:`indirect_psm`), reads and compares grids of
-arbitrary masses (:func:`load_bba_matrix`, :func:`direct_distance_general`),
-and defines the metrics whose values the indirect scores in :mod:`prefdist.psm` hold.
+The grid of an order holds ``MassFunction.certain`` of ATOM_SUCC, ATOM_EQUIV
+or ATOM_PREC in each cell the order decides, the diagonal tied, and of
+FULL_FRAME in each cell with an unmentioned object.  The distances between
+two orders, ``direct`` and ``indirect-*``, build no such grid: each cell is a
+lookup on its relation code, so they count code pairs in
+:mod:`prefdist.psm`.  This module reads and compares grids of arbitrary
+masses (:func:`load_bba_matrix`, :func:`direct_distance_general`), and
+defines the metrics whose values the indirect scores in :mod:`prefdist.psm` hold.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .errors import (
     EmptySubsetError,
     UnnormalizedMassError,
 )
-from .model import PairRelation, WeakOrder, common_size
-from .psm import _DIRECT_COST, _INDIRECT_SCORE, BbaMetric, DistanceReport, _report
+from .model import common_size
+from .psm import _DIRECT_COST, DistanceReport, _report
 
 ATOM_SUCC = 0b001
 ATOM_EQUIV = 0b010
@@ -141,19 +143,6 @@ class MassFunction:
         return sum(self.masses[y] for y in range(1, 8) if y & subset)
 
 
-#: The subset of each relation code (see WeakOrder.relation_codes): its state, or the whole frame.
-_CODE_MASK = (ATOM_SUCC, ATOM_EQUIV, ATOM_PREC, FULL_FRAME)
-
-
-def bba_from_relation(relation: PairRelation) -> MassFunction:
-    """Certain mass on the matching state; vacuous for an unknown comparison."""
-    return MassFunction.certain(_CODE_MASK[list(PairRelation).index(relation)])
-
-
-#: The mass vector of each relation code.
-_CODE_MASSES = np.array(tuple(map(MassFunction.certain, _CODE_MASK)))
-
-
 @dataclass(frozen=True, eq=False)
 class BbaMatrix:
     """N x N grid of mass functions; cell (i, j) judges object i against object j.
@@ -185,12 +174,6 @@ class BbaMatrix:
     @property
     def n(self) -> int:
         return len(self.masses)
-
-
-def build_bba_matrix(ppo: WeakOrder) -> BbaMatrix:
-    """Encode a (partial) order: certain cells for known comparisons, vacuous
-    cells for unmentioned pairs, tie-certain diagonal."""
-    return BbaMatrix(_CODE_MASSES[ppo.relation_codes()])
 
 
 def _jaccard_kernel() -> NDArray[np.float64]:
@@ -251,16 +234,6 @@ def direct_distance_general(b1: BbaMatrix, b2: BbaMatrix) -> DistanceReport:
     # Equals the Frobenius norm of the flattened 8N x 8N difference: each mass
     # component appears exactly once in the sum of squares either way.
     return _report("direct", float(np.linalg.norm(b1.masses - b2.masses)), n, _DIRECT_COST)
-
-
-def indirect_psm(ppo: WeakOrder, metric: BbaMetric) -> NDArray[np.float64]:
-    """Score-alike matrix: entry (i, j) is the metric distance from cell (i, j)
-    to the certain row-over-column reference mass.
-
-    Certain strict preference scores 0, certain reversal or tie scores 1,
-    ignorance lands strictly in between, and the diagonal is all ones.
-    """
-    return np.array(_INDIRECT_SCORE[metric])[ppo.relation_codes()]
 
 
 _FOCAL_KEY_TO_MASK = {

@@ -1,7 +1,9 @@
 """Command-line front end: distances, enumeration, and compatibility listings.
 
 Exit codes: 0 success, 2 parse or validation failure (the diagnostic names
-the offending field), 3 enumeration cap or bfm grid-cell limit exceeded.
+the offending field), 3 enumeration cap or bfm grid-cell limit exceeded, and
+1 with nothing on stderr when the reader of stdout closes it before the reply
+ends (as ``prefdist enumerate --n 7 | head -1`` does); the rest is dropped.
 The PREFDIST_CAP environment variable overrides the default cap; an explicit
 --cap flag wins over both.
 
@@ -376,7 +378,12 @@ def main(argv: list[str] | None = None) -> int:
     else:  # no command, help, an unknown command or a leading "--"
         args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # what is left to write, and that last flush, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -22,7 +22,7 @@ import operator
 import re
 from enum import Enum
 from itertools import filterfalse
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateUniverseError,
@@ -33,11 +33,6 @@ from .errors import (
     PreferenceSyntaxError,
     UnknownObjectError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-    from numpy.typing import NDArray
-
 
 class PairRelation(Enum):
     """Outcome of comparing two objects; a member's position is its relation code."""
@@ -184,28 +179,6 @@ class WeakOrder(_Frozen):
     @property
     def is_total(self) -> bool:
         return -1 not in self.rank_tuple
-
-    def relation_codes(self) -> NDArray[np.int8]:
-        """N x N codes; ``list(PairRelation)[codes[i, j]]`` compares object i with
-        object j: SUCC 0 (i preferred), EQUIV 1 (tied, and the diagonal), PREC 2,
-        UNKNOWN 3 (i or j unmentioned)."""
-        return _relation_codes(self.rank_tuple)[0]
-
-
-def _relation_codes(*rank_tuples: Sequence[int]) -> NDArray[np.int8]:
-    """The stacked :meth:`WeakOrder.relation_codes` of equal-length rank tuples."""
-    import numpy as np  # only here: the distances themselves need no numpy
-
-    n = len(rank_tuples[0])
-    # rank differences lie in [-n, n], so the type of -n - 1 holds them unwrapped
-    ranks = np.array(rank_tuples, dtype=np.min_scalar_type(-n - 1))
-    codes = np.sign(ranks[:, :, None] - ranks[:, None, :]).astype(np.int8, copy=False)
-    codes += 1
-    unmentioned = ranks < 0
-    codes[unmentioned] = 3  # rows
-    codes.transpose(0, 2, 1)[unmentioned] = 3  # columns
-    codes.reshape(len(ranks), n * n)[:, :: n + 1] = 1  # diagonals
-    return codes
 
 
 def common_size(n1: int, n2: int) -> int:

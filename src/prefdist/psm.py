@@ -1,9 +1,11 @@
 """The pair-category rule of every order-based distance, and the distances built on it.
 
 A cell of a preference score matrix, a direct mass grid or an indirect score
-matrix is a lookup on its pair's relation code (see
-:meth:`WeakOrder.relation_codes`), so each distance counts the cells per pair
-of codes and weighs them by a cost table, without building any matrix.  Each
+matrix is a lookup on its pair's relation code, the position in
+:class:`PairRelation` of how the row object compares with the column object
+(SUCC 0, EQUIV 1 and the diagonal, PREC 2, UNKNOWN 3 when either is
+unmentioned).  So each distance counts the cells per pair of codes and
+weighs them by a cost table, without building any matrix.  Each
 method is stated once, as its value per relation code, and its cost table is
 derived from those values.  This module holds the classical distance between
 total orders and the belief distances ``direct`` and ``indirect-*`` between

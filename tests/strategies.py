@@ -113,6 +113,17 @@ def _reference(order):
     return reference_order_of_ranks(order.rank_tuple)
 
 
+def reference_relation_codes(order):
+    """N x N int8 codes of ``order``: entry (i, j) is the position in PairRelation
+    of how object i compares with object j (SUCC 0, EQUIV 1 and the diagonal,
+    PREC 2, UNKNOWN 3 when either is unmentioned)."""
+    r = np.array(order.rank_tuple, dtype=np.int64)
+    codes = (np.sign(r[:, None] - r[None, :]) + 1).astype(np.int8)
+    codes[(r[:, None] < 0) | (r[None, :] < 0)] = 3
+    np.fill_diagonal(codes, 1)
+    return codes
+
+
 def classes(order):
     """The tie-classes of ``order`` in preference order, each in ascending object order."""
     return _reference(order).classes

@@ -40,17 +40,14 @@ PUBLIC = [
     "UnknownObjectError",
     "UnnormalizedMassError",
     "WeakOrder",
-    "bba_from_relation",
     "bba_matrix_from_json",
     "belief_interval_distance",
     "bfm_distance",
-    "build_bba_matrix",
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
     "enumerate_weak_orders",
     "indirect_distance",
-    "indirect_psm",
     "jousselme_distance",
     "load_bba_matrix",
     "max_psm_distance",
@@ -69,6 +66,10 @@ REMOVED = [
     ("prefdist.belief", "BeliefInterval"),
     ("prefdist.errors", "SubsetNotMentionedError"),
     ("prefdist.model", "chain_order"),
+    ("prefdist.belief", "bba_from_relation"),
+    ("prefdist.belief", "build_bba_matrix"),
+    ("prefdist.belief", "indirect_psm"),
+    ("prefdist.model", "_relation_codes"),
 ]
 
 
@@ -100,6 +101,7 @@ def test_a_removed_name_is_gone(module, name):
         (WeakOrder, "rank_vector"),
         (WeakOrder, "classes"),
         (WeakOrder, "mentioned"),
+        (WeakOrder, "relation_codes"),
         (BbaMatrix, "cells"),
         (MassFunction, "swapped"),
         (MassFunction, "interval"),

@@ -20,23 +20,20 @@ from prefdist import (
     DimensionMismatchError,
     EmptySubsetError,
     MassFunction,
-    PairRelation,
     UnnormalizedMassError,
     WeakOrder,
-    bba_from_relation,
     bba_matrix_from_json,
     belief_interval_distance,
-    build_bba_matrix,
     direct_distance,
     direct_distance_general,
     enumerate_weak_orders,
     indirect_distance,
-    indirect_psm,
     jousselme_distance,
     load_bba_matrix,
 )
 
 from strategies import chain_order, reverse, swapped
+from test_differential import reference_bba_matrix, reference_indirect_psm
 
 TOL = 5e-5
 
@@ -160,35 +157,31 @@ class TestBelPl:
 
 
 class TestEncoding:
-    def test_relation_to_mass(self):
-        assert bba_from_relation(PairRelation.SUCC) == SUCC_SURE
-        assert bba_from_relation(PairRelation.EQUIV) == EQUIV_SURE
-        assert bba_from_relation(PairRelation.PREC) == PREC_SURE
-        assert bba_from_relation(PairRelation.UNKNOWN) == VACUOUS
+    """The paper's mass grid of an order, as the oracle of ``direct`` builds it."""
 
     def test_total_order_grid(self, pref):
-        cells = cells_of(build_bba_matrix(pref("B > A > C")))
+        cells = cells_of(reference_bba_matrix(pref("B > A > C")))
         assert cells[0][1] == PREC_SURE
         assert cells[0][2] == SUCC_SURE
         assert cells[1][2] == SUCC_SURE
         assert all(cells[i][i] == EQUIV_SURE for i in range(3))
 
     def test_partial_order_grid_has_vacuous_cells(self, pref):
-        cells = cells_of(build_bba_matrix(pref("C > A")))
+        cells = cells_of(reference_bba_matrix(pref("C > A")))
         for i, j in [(0, 1), (1, 0), (1, 2), (2, 1)]:
             assert cells[i][j] == VACUOUS
         assert cells[2][0] == SUCC_SURE
         assert cells[0][2] == PREC_SURE
 
     def test_empty_order_grid_is_vacuous_off_diagonal(self):
-        cells = cells_of(build_bba_matrix(WeakOrder((), 3)))
+        cells = cells_of(reference_bba_matrix(WeakOrder((), 3)))
         for i in range(3):
             for j in range(3):
                 assert cells[i][j] == (EQUIV_SURE if i == j else VACUOUS)
 
     def test_mirror_consistency_over_all_orders_of_three(self):
         for order in enumerate_weak_orders(3):
-            cells = cells_of(build_bba_matrix(order))
+            cells = cells_of(reference_bba_matrix(order))
             for i in range(3):
                 for j in range(3):
                     assert cells[j][i] == swapped(cells[i][j])
@@ -203,7 +196,7 @@ class TestEncoding:
             WeakOrder(((0, 1),), 2),
         ]
         for order in partials:
-            cells = cells_of(build_bba_matrix(order))
+            cells = cells_of(reference_bba_matrix(order))
             for i in range(2):
                 for j in range(2):
                     assert cells[j][i] == swapped(cells[i][j])
@@ -288,7 +281,7 @@ class TestDirectDistance:
 
 class TestDirectDistanceGeneral:
     def test_identical_grids(self, pref):
-        grid = build_bba_matrix(pref("C > A"))
+        grid = reference_bba_matrix(pref("C > A"))
         report = direct_distance_general(grid, grid)
         assert report.raw == 0.0
         assert report.normalized == 0.0
@@ -297,7 +290,7 @@ class TestDirectDistanceGeneral:
         # oracle: feeding the same grids through the general entry point must
         # reproduce direct_distance exactly
         ppo1, ppo2 = pref("C > A"), pref("A > B")
-        general = direct_distance_general(build_bba_matrix(ppo1), build_bba_matrix(ppo2))
+        general = direct_distance_general(reference_bba_matrix(ppo1), reference_bba_matrix(ppo2))
         specific = direct_distance(ppo1, ppo2)
         assert general == specific
 
@@ -334,7 +327,7 @@ class TestDirectDistanceGeneral:
     def test_size_mismatch(self, pref):
         two = BbaMatrix(((EQUIV_SURE, VACUOUS), (VACUOUS, EQUIV_SURE)))
         with pytest.raises(DimensionMismatchError):
-            direct_distance_general(two, build_bba_matrix(pref("C > A")))
+            direct_distance_general(two, reference_bba_matrix(pref("C > A")))
 
     def test_single_object_grid_rejected(self):
         one = BbaMatrix(((EQUIV_SURE,),))
@@ -364,7 +357,7 @@ class TestBbaMatrixValue:
         assert hash(first) == hash(second)
 
     def test_negative_zero_mass_equals_zero(self):
-        masses = build_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
+        masses = reference_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
         signed = masses.copy()
         signed[0, 1, 2] = -0.0
         assert np.signbit(signed[0, 1, 2]) and not np.signbit(masses[0, 1, 2])
@@ -373,12 +366,12 @@ class TestBbaMatrixValue:
 
     def test_different_grids_differ(self, tmp_path):
         loaded = self._load(tmp_path)
-        assert loaded != build_bba_matrix(WeakOrder(((0,), (1,)), 2))
+        assert loaded != reference_bba_matrix(WeakOrder(((0,), (1,)), 2))
         assert loaded != BbaMatrix(((EQUIV_SURE,),))
         assert loaded != "masses"
 
     def test_masses_are_read_only_copies(self):
-        source = build_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
+        source = reference_bba_matrix(WeakOrder(((0,), (1,)), 2)).masses.copy()
         matrix = BbaMatrix(source)
         source[0, 1] = VACUOUS.masses
         assert matrix.masses[0, 1].tolist() == list(SUCC_SURE.masses)
@@ -454,30 +447,30 @@ class TestMassGridFaults:
 class TestIndirectMethod:
     def test_score_matrices_for_total_orders(self, pref):
         for metric in BbaMetric:
-            m1 = indirect_psm(pref("B > A > C"), metric)
-            m2 = indirect_psm(pref("B > C > A"), metric)
+            m1 = reference_indirect_psm(pref("B > A > C"), metric)
+            m2 = reference_indirect_psm(pref("B > C > A"), metric)
             assert np.allclose(m1, [[1, 1, 0], [0, 1, 0], [1, 1, 1]])
             assert np.allclose(m2, [[1, 1, 1], [0, 1, 0], [0, 1, 1]])
 
     def test_score_matrix_for_partial_order_jousselme(self, pref):
         g = math.sqrt(2 / 3)
         expected = [[1, g, 1], [g, 1, g], [0, g, 1]]
-        assert np.allclose(indirect_psm(pref("C > A"), BbaMetric.JOUSSELME), expected)
+        assert np.allclose(reference_indirect_psm(pref("C > A"), BbaMetric.JOUSSELME), expected)
 
     def test_score_matrix_for_partial_order_interval(self, pref):
         g = math.sqrt(0.5)
         expected = [[1, g, 1], [g, 1, g], [0, g, 1]]
         assert np.allclose(
-            indirect_psm(pref("C > A"), BbaMetric.BELIEF_INTERVAL), expected
+            reference_indirect_psm(pref("C > A"), BbaMetric.BELIEF_INTERVAL), expected
         )
         assert np.allclose(
-            indirect_psm(pref("A > B"), BbaMetric.BELIEF_INTERVAL),
+            reference_indirect_psm(pref("A > B"), BbaMetric.BELIEF_INTERVAL),
             [[1, 0, g], [1, 1, g], [g, g, 1]],
         )
 
     def test_chain_scores_are_zero_or_one(self):
         for metric in BbaMetric:
-            entries = indirect_psm(chain_order(4), metric)
+            entries = reference_indirect_psm(chain_order(4), metric)
             assert np.all(np.isin(entries, (0.0, 1.0)))
             assert np.all(np.diag(entries) == 1.0)
 

@@ -631,6 +631,38 @@ assert "numpy" in sys.modules
         assert normalized == [0.8165, 0.4832, 0.6966]
 
 
+class TestClosedPipe:
+    """A reader that closes stdout before the reply ends: exit 1, nothing on
+    stderr."""
+
+    @staticmethod
+    def outcome(argv, read, env):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "prefdist", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(child.stdout.read(read)) == read
+        child.stdout.close()
+        err = child.stderr.read()
+        return child.wait(), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--n", "7"],
+            ["dist", "--method", "bfm", "--objects", "A,B,C,D,E", "--pref1", "A", "--pref2", "B"],
+        ],
+    )
+    def test_a_reply_over_1_mb_is_still_being_written(self, argv):
+        assert self.outcome(argv, 16, fresh_env()) == (1, b"")
+
+    def test_a_buffered_short_reply_meets_it_in_the_last_flush(self):
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
+        assert self.outcome(argv, 0, env) == (1, b"")
+
+
 def parse_outcome(parse, argv):
     """The namespace ``parse`` makes of ``argv``, less its ``command``; or the
     code it exits with, and what it printed."""

@@ -40,6 +40,7 @@ from strategies import (
     chain_order,
     classes,
     mentioned,
+    reference_relation_codes,
     restrict,
     reverse,
     swapped,
@@ -71,7 +72,7 @@ class TestOrderProperties:
 
     @given(weak_orders())
     def test_relation_antisymmetry(self, order):
-        codes = order.relation_codes()
+        codes = reference_relation_codes(order)
         assert np.array_equal(codes.T, MIRROR_CODE[codes])
 
     @given(weak_orders())
@@ -100,7 +101,8 @@ class TestOrderProperties:
         restricted = restrict(order, subset)
         assert mentioned(restricted) == subset
         kept = np.ix_(sorted(subset), sorted(subset))
-        assert np.array_equal(restricted.relation_codes()[kept], order.relation_codes()[kept])
+        restricted_codes, codes = (reference_relation_codes(o)[kept] for o in (restricted, order))
+        assert np.array_equal(restricted_codes, codes)
 
 
 class TestMassProperties:
@@ -210,7 +212,7 @@ class TestMetricAxiomsAtFourAndFive:
         assert len(four_object_tables["direct"][0]) == 150
         assert len(four_object_tables["classical"][0]) == 75
         for name, (orders, table) in four_object_tables.items():
-            codes = np.array([o.relation_codes().ravel() for o in orders])
+            codes = np.array([reference_relation_codes(o).ravel() for o in orders])
             same = (codes[:, None] == codes[None]).all(axis=2)
             assert np.array_equal(table, table.T), name
             assert np.array_equal(table == 0.0, same), name
@@ -220,7 +222,7 @@ class TestMetricAxiomsAtFourAndFive:
     @given(st.integers(4, 5), st.data())
     def test_random_partial_triples(self, n, data):
         a, b, c = (data.draw(weak_orders(min_n=n, max_n=n)) for _ in range(3))
-        same = np.array_equal(a.relation_codes(), b.relation_codes())
+        same = np.array_equal(reference_relation_codes(a), reference_relation_codes(b))
         for name, d in ORDER_DISTANCES.items():
             assert d(a, b) == d(b, a), name
             assert d(a, c) <= d(a, b) + d(b, c) + 1e-12, name
@@ -275,6 +277,48 @@ class TestMetricStatusOfEveryPartialOrderOfThree:
             assert np.array_equal(np.diag(table) != 0.0, expected), name
 
 
+def average_ranks(values):
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
+def spearman(x, y):
+    return float(np.corrcoef(average_ranks(x), average_ranks(y))[0, 1])
+
+
+def kendall_tau_b(x, y):
+    sx, sy = (np.sign(v[:, None] - v[None, :]) for v in (x, y))
+    return float((sx * sy).sum() / np.sqrt((sx * sx).sum() * (sy * sy).sum()))
+
+
+class TestAgreementWithBfmAtThree:
+    """How each belief route ranks the 625 pairs of non-empty partial orders of
+    three objects against bfm's attitudes (the README's n = 3 rows)."""
+
+    # per route: (Spearman, Kendall tau-b) with aver, optim and pessim
+    CORRELATIONS = {
+        "direct": ((0.436279, 0.344359), (0.371544, 0.309249), (0.195855, 0.178863)),
+        "jousselme": ((0.725894, 0.566251), (0.809858, 0.688285), (0.130303, 0.094054)),
+        "belief-interval": ((0.702491, 0.54646), (0.854064, 0.728229), (0.077669, 0.061448)),
+    }
+    INSIDE = {"direct": 295, "jousselme": 493, "belief-interval": 493}
+
+    def test_correlations_and_pairs_inside_optim_and_pessim(self, three_object_partial_tables):
+        _, tables = three_object_partial_tables
+        # rounded, so that values equal but for the last bits tie
+        values = {name: np.round(table.ravel(), 12) for name, table in tables.items()}
+        for name, expected in self.CORRELATIONS.items():
+            got = [
+                (spearman(values[name], values[att]), kendall_tau_b(values[name], values[att]))
+                for att in ("aver", "optim", "pessim")
+            ]
+            assert np.allclose(got, expected, rtol=0, atol=5e-7), (name, got)
+            d, optim, pessim = (tables[key].ravel() for key in (name, "optim", "pessim"))
+            inside = (optim - 1e-12 <= d) & (d <= pessim + 1e-12)
+            assert int(inside.sum()) == self.INSIDE[name], name
+
+
 class TestOperandSymmetryAtBeliefOrdersSizes:
     """The belief methods at N = 6..64, the sizes of the belief_orders workload."""
 
@@ -282,7 +326,7 @@ class TestOperandSymmetryAtBeliefOrdersSizes:
     def test_reports_are_bitwise_symmetric_and_zero_only_on_equal_codes(self, n, data):
         a = data.draw(weak_orders(min_n=n, max_n=n))
         b = data.draw(st.one_of(weak_orders(min_n=n, max_n=n), st.just(a)))
-        same = np.array_equal(a.relation_codes(), b.relation_codes())
+        same = np.array_equal(reference_relation_codes(a), reference_relation_codes(b))
         reports = [(direct_distance(a, b), direct_distance(b, a))] + [
             (indirect_distance(a, b, metric), indirect_distance(b, a, metric))
             for metric in BbaMetric
@@ -373,7 +417,7 @@ class TestRelabelingAndReversal:
 
 def agree_on_overlap(a, b):
     """Whether ``a`` and ``b`` relate alike every pair of objects that both mention."""
-    codes_a, codes_b = a.relation_codes(), b.relation_codes()
+    codes_a, codes_b = reference_relation_codes(a), reference_relation_codes(b)
     known = (codes_a != 3) & (codes_b != 3)  # 3 is UNKNOWN
     return bool(np.array_equal(codes_a[known], codes_b[known]))
 
@@ -413,7 +457,7 @@ def test_bfm_optim_is_zero_exactly_when_the_orders_agree_up_to_six_objects(pair)
 class TestPsmStructure:
     @given(weak_orders(min_n=2, max_n=5, total=True))
     def test_signed_matrix_antisymmetric(self, order):
-        entries = CODE_SCORE[PsmConvention.SIGNED][order.relation_codes()]
+        entries = CODE_SCORE[PsmConvention.SIGNED][reference_relation_codes(order)]
         assert np.array_equal(entries.T, -entries)
 
     @given(st.integers(2, 5), st.data())

@@ -16,7 +16,7 @@ from prefdist import (
     normalized_distance,
 )
 
-from strategies import CODE_SCORE
+from strategies import CODE_SCORE, reference_relation_codes
 from test_differential import reference_build_psm
 from test_model import check_frozen_value
 
@@ -25,7 +25,7 @@ TOL = 5e-5
 
 def scores(order, convention):
     """The score matrix that the classical distance reads off the relation codes."""
-    return CODE_SCORE[convention][order.relation_codes()]
+    return CODE_SCORE[convention][reference_relation_codes(order)]
 
 
 def raw_distance(a, b, convention):
