@@ -68,7 +68,6 @@ __all__ = [
     "ATOM_EQUIV",
     "ATOM_PREC",
     "ATOM_SUCC",
-    "Attitude",
     "BbaFormatError",
     "BbaMatrix",
     "BbaMetric",
@@ -100,7 +99,6 @@ __all__ = [
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
-    "enumerate_weak_orders",
     "indirect_distance",
     "jousselme_distance",
     "load_bba_matrix",

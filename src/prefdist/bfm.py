@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
@@ -32,15 +31,6 @@ GRID_CELL_LIMIT = 4683**2
 # Cells per block in which the histogram and the grid writer (in whole rows)
 # read a grid, so neither holds a grid-sized temporary array
 _BLOCK_CELLS = 16384
-
-
-class Attitude(Enum):
-    """Rule collapsing the completion-pair distance grid to one number."""
-
-    OPTIMISTIC = "optim"
-    PESSIMISTIC = "pessim"
-    AVERAGE = "aver"
-    HURWICZ = "hurwicz"
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +56,6 @@ class BfmReport:
     def n_ctpo(self) -> tuple[int, int]:
         """Completion counts of the two inputs (grid rows, grid columns)."""
         return (self.squared.shape[0], self.squared.shape[1])
-
-    def value(self, attitude: Attitude) -> float:
-        return getattr(self, attitude.value)  # each value names its field
 
 
 @functools.cache

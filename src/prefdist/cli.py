@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse or validation failure (the diagnostic names
 the offending field), 3 enumeration cap or bfm grid-cell limit exceeded, and
 1 with nothing on stderr when the reader of stdout closes it before the reply
-ends (as ``prefdist enumerate --n 7 | head -1`` does); the rest is dropped.
+or the help text ends (as ``prefdist enumerate --n 7 | head -1`` does); the
+rest is dropped.
 The PREFDIST_CAP environment variable overrides the default cap; an explicit
 --cap flag wins over both.
 
@@ -152,7 +153,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     }
     try:
         if args.method == "bfm":
-            from .bfm import Attitude, bfm_distance
+            from .bfm import bfm_distance
 
             report = bfm_distance(pref1, pref2, alpha=alpha, cap=_effective_cap(args.cap))
         elif args.method == "direct":
@@ -162,10 +163,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     except DegenerateUniverseError as exc:
         raise _UsageError("--objects", str(exc)) from None
     if args.method == "bfm":
-        attitude = args.attitude or "all"
-        headline = (
-            report.aver if attitude == "all" else report.value(Attitude(attitude))
-        )
+        attitude = args.attitude or "all"  # each other choice names a field of the report
+        headline = getattr(report, "aver" if attitude == "all" else attitude)
         maximum = max_psm_distance(len(universe), PsmConvention(args.conv or "signed"))
         payload.update(
             raw=headline * maximum,
@@ -226,7 +225,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         universe = ObjectUniverse.numbered(args.n)
     else:
         raise _UsageError("--n", "required unless --objects is given")
-    count = _print_orders((-1,) * len(universe), universe, args.cap)
+    count = _print_orders(WeakOrder._dense((-1,) * len(universe)), universe, args.cap)
     print(f"count: {count}")
     return 0
 
@@ -234,16 +233,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_compatible(args: argparse.Namespace) -> int:
     universe = _parse_objects(args.objects)
     ppo = _parse_pref(args.pref, universe, "--pref")
-    _print_orders(ppo.rank_tuple, universe, args.cap)
+    _print_orders(ppo, universe, args.cap)
     return 0
 
 
-def _print_orders(fixed: tuple[int, ...], universe: ObjectUniverse, cap: int | None) -> int:
-    """Print every completion of the rank vector ``fixed``, converting 4096
-    rows at a time, and return how many there are."""
-    from .enumeration import _completion_rows
+def _print_orders(order: WeakOrder, universe: ObjectUniverse, cap: int | None) -> int:
+    """Print every completion of ``order``, converting 4096 rows at a time,
+    and return how many there are."""
+    from .enumeration import compatible_tpos
 
-    ranks = _completion_rows(fixed, _effective_cap(cap))
+    ranks = compatible_tpos(order, cap=_effective_cap(cap)).ranks
     for start in range(0, len(ranks), 4096):
         rows = ranks[start : start + 4096].tolist()
         sys.stdout.write("".join(render_ranks(row, universe.labels) + "\n" for row in rows))
@@ -364,8 +363,7 @@ def _plain_args(sub: argparse.ArgumentParser, words: list[str]) -> argparse.Name
     return argparse.Namespace(**{**sub._defaults, **defaults, **given})
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _parse(argv: list[str]) -> argparse.Namespace:
     parser, commands = _build_parser()
     if argv and argv[0] in commands:
         sub = commands[argv[0]]
@@ -375,12 +373,18 @@ def main(argv: list[str] | None = None) -> int:
             args, extras = sub.parse_known_args(argv[1:])
             if extras:
                 parser.error("unrecognized arguments: " + " ".join(extras))
-    else:  # no command, help, an unknown command or a leading "--"
-        args = parser.parse_args(argv)
+        return args
+    return parser.parse_args(argv)  # no command, help, an unknown command or a leading "--"
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        code = args.handler(args)
-        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
-        return code
+        try:
+            args = _parse(argv)  # help and argparse's faults end here, in SystemExit
+            return args.handler(args)
+        finally:
+            sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
     except BrokenPipeError:  # what is left to write, and that last flush, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

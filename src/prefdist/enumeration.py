@@ -1,17 +1,18 @@
 """Exhaustive generation of weak orders and of the completions of a partial one.
 
 The number of weak orders of n objects is the n-th ordered Bell (Fubini)
-number: 1, 3, 13, 75, 541, 4683, ...  Both the weak orders and the completions
-of a partial order come from one rank array, built by inserting each
-unmentioned object into every row.  The blowup is guarded by a hard cap;
-exceeding it raises instead of truncating silently.
+number: 1, 3, 13, 75, 541, 4683, ...  The completions of a partial order come
+from one rank array, built by inserting each unmentioned object into every
+row; the weak orders of n objects are the completions of the order that
+mentions none of them.  The blowup is guarded by a hard cap; exceeding it
+raises instead of truncating silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,24 +52,6 @@ def _check_size(n: int, cap: int | None) -> None:
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if n > limit:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
-
-
-def _completion_rows(fixed: Sequence[int], cap: int | None) -> NDArray[np.signedinteger]:
-    """``_completions(fixed)``, once its universe size passes the enumeration cap."""
-    _check_size(len(fixed), cap)
-    return _completions(fixed)
-
-
-def enumerate_weak_orders(n: int, *, cap: int | None = None) -> Iterator[WeakOrder]:
-    """Yield every total weak order of n objects, exactly once.
-
-    The rank vectors are built at once, as the completions of the order that
-    mentions nothing; each ``WeakOrder`` is built from its row only when
-    reached.  The sequence is deterministic and repeatable: orders appear in
-    lexicographic order of their rank vectors.
-    """
-    rows = _completion_rows((-1,) * n, cap)
-    return map(WeakOrder._dense, map(tuple, map(np.ndarray.tolist, rows)))
 
 
 def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
@@ -111,8 +94,10 @@ def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
 
     The enumeration generates them directly and builds no incompatible order.
     An order mentioning nothing is compatible with every total order; a total
-    order only with itself.  Completions follow the enumeration order.
+    order only with itself.  Completions are in lexicographic order of their
+    rank vectors.
     """
-    ranks = _completion_rows(ppo.rank_tuple, cap)
+    _check_size(ppo.universe_size, cap)
+    ranks = _completions(ppo.rank_tuple)
     ranks.flags.writeable = False
     return CompatibleSet(ppo, ranks)

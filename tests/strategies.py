@@ -19,7 +19,7 @@ from prefdist import (
     PairRelation,
     PsmConvention,
     WeakOrder,
-    enumerate_weak_orders,
+    compatible_tpos,
 )
 
 
@@ -171,12 +171,18 @@ def pair_cost(values):
     return np.atleast_3d(np.square(values[:, None] - values)).sum(axis=-1)
 
 
+def all_weak_orders(n):
+    """Every weak order of n objects, in lexicographic order of their rank
+    vectors: the completions of the order that mentions none of them."""
+    return compatible_tpos(WeakOrder((), n)).ctpos
+
+
 def all_partial_orders(n):
     """Every weak order over every subset of n objects, the empty order first."""
     orders = [WeakOrder((), n)]
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
-            for order in enumerate_weak_orders(k):
+            for order in all_weak_orders(k):
                 groups = tuple(tuple(subset[i] for i in group) for group in classes(order))
                 orders.append(WeakOrder(groups, n))
     return orders

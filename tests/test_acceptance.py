@@ -22,7 +22,6 @@ from prefdist import (
     bfm_distance,
     compatible_tpos,
     direct_distance,
-    enumerate_weak_orders,
     indirect_distance,
     max_psm_distance,
     normalized_distance,
@@ -30,7 +29,14 @@ from prefdist import (
     render_preference,
 )
 
-from strategies import CODE_SCORE, chain_order, reference_relation_codes, reverse, swapped
+from strategies import (
+    CODE_SCORE,
+    all_weak_orders,
+    chain_order,
+    reference_relation_codes,
+    reverse,
+    swapped,
+)
 from test_differential import reference_bba_matrix, reference_build_psm, reference_indirect_psm
 
 TOL = 5e-5
@@ -80,7 +86,7 @@ def test_criterion_02_enumeration():
         "C > B > A", "A > (B = C)", "B > (A = C)", "C > (A = B)",
         "(A = B) > C", "(A = C) > B", "(B = C) > A", "(A = B = C)",
     }
-    rendered = [text(order) for order in enumerate_weak_orders(3)]
+    rendered = [text(order) for order in all_weak_orders(3)]
     assert len(rendered) == 13
     assert set(rendered) == expected_orders
 
@@ -89,7 +95,7 @@ def test_criterion_02_enumeration():
         counts.append(sum(math.comb(m, k) * counts[m - k] for k in range(1, m + 1)))
     assert counts[1:] == [1, 3, 13, 75, 541]
     for n in range(1, 6):
-        assert sum(1 for _ in enumerate_weak_orders(n)) == counts[n]
+        assert len(all_weak_orders(n)) == counts[n]
 
 
 @criterion(3, "compatible completions of the two worked partial orders")
@@ -222,7 +228,7 @@ def test_criterion_09_interval_primitives():
 
 @criterion(10, "exhaustive structural properties over all orders of three objects")
 def test_criterion_10_property_suites():
-    orders = list(enumerate_weak_orders(3))
+    orders = all_weak_orders(3)
     size = len(orders)
 
     tables = {

@@ -8,13 +8,12 @@ import inspect
 import pytest
 
 import prefdist
-from prefdist import BbaMatrix, MassFunction, WeakOrder
+from prefdist import BbaMatrix, BfmReport, MassFunction, WeakOrder
 
 PUBLIC = [
     "ATOM_EQUIV",
     "ATOM_PREC",
     "ATOM_SUCC",
-    "Attitude",
     "BbaFormatError",
     "BbaMatrix",
     "BbaMetric",
@@ -46,7 +45,6 @@ PUBLIC = [
     "compatible_tpos",
     "direct_distance",
     "direct_distance_general",
-    "enumerate_weak_orders",
     "indirect_distance",
     "jousselme_distance",
     "load_bba_matrix",
@@ -70,6 +68,9 @@ REMOVED = [
     ("prefdist.belief", "build_bba_matrix"),
     ("prefdist.belief", "indirect_psm"),
     ("prefdist.model", "_relation_codes"),
+    ("prefdist.enumeration", "enumerate_weak_orders"),
+    ("prefdist.enumeration", "_completion_rows"),
+    ("prefdist.bfm", "Attitude"),
 ]
 
 
@@ -105,6 +106,7 @@ def test_a_removed_name_is_gone(module, name):
         (BbaMatrix, "cells"),
         (MassFunction, "swapped"),
         (MassFunction, "interval"),
+        (BfmReport, "value"),
     ],
 )
 def test_a_removed_member_is_gone(owner, name):

@@ -26,13 +26,12 @@ from prefdist import (
     belief_interval_distance,
     direct_distance,
     direct_distance_general,
-    enumerate_weak_orders,
     indirect_distance,
     jousselme_distance,
     load_bba_matrix,
 )
 
-from strategies import chain_order, reverse, swapped
+from strategies import all_weak_orders, chain_order, reverse, swapped
 from test_differential import reference_bba_matrix, reference_indirect_psm
 
 TOL = 5e-5
@@ -180,7 +179,7 @@ class TestEncoding:
                 assert cells[i][j] == (EQUIV_SURE if i == j else VACUOUS)
 
     def test_mirror_consistency_over_all_orders_of_three(self):
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             cells = cells_of(reference_bba_matrix(order))
             for i in range(3):
                 for j in range(3):
@@ -262,7 +261,7 @@ class TestDirectDistance:
 
     def test_universe_mismatch(self, pref):
         with pytest.raises(DimensionMismatchError):
-            direct_distance(pref("C > A"), next(enumerate_weak_orders(4)))
+            direct_distance(pref("C > A"), all_weak_orders(4)[0])
 
     def test_degenerate_universe(self):
         single = WeakOrder(((0,),), 1)
@@ -270,7 +269,7 @@ class TestDirectDistance:
             direct_distance(single, single)
 
     def test_chain_reversal_attains_exhaustive_maximum_at_three(self):
-        orders = list(enumerate_weak_orders(3))
+        orders = all_weak_orders(3)
         brute = max(
             direct_distance(a, b).raw for a, b in itertools.product(orders, orders)
         )

@@ -8,20 +8,18 @@ import pytest
 import prefdist.bfm
 import prefdist.enumeration
 from prefdist import (
-    Attitude,
     CapExceededError,
     DegenerateUniverseError,
     DimensionMismatchError,
     WeakOrder,
     bfm_distance,
     compatible_tpos,
-    enumerate_weak_orders,
     normalized_distance,
     render_preference,
 )
 from prefdist.cli import main
 
-from strategies import chain_order, classes, reverse
+from strategies import all_weak_orders, chain_order, classes, reverse
 
 TOL = 5e-5
 
@@ -87,10 +85,10 @@ class TestGrid:
 
     def test_universe_mismatch(self, pref):
         with pytest.raises(DimensionMismatchError):
-            bfm_distance(pref("C > A"), next(enumerate_weak_orders(4)))
+            bfm_distance(pref("C > A"), all_weak_orders(4)[0])
 
     def test_degenerate_universe(self):
-        single = next(enumerate_weak_orders(1))
+        single = all_weak_orders(1)[0]
         with pytest.raises(DegenerateUniverseError):
             bfm_distance(single, single)
 
@@ -162,8 +160,8 @@ class TestReport:
         # contradiction value 1 by construction
         chain = chain_order(3)
         report = bfm_distance(chain, reverse(chain))
-        for attitude in Attitude:
-            assert report.value(attitude) == pytest.approx(1.0)
+        for value in (report.optim, report.pessim, report.aver, report.hurwicz):
+            assert value == pytest.approx(1.0)
 
     def test_average_is_plain_grid_mean(self, worked_pair):
         report = bfm_distance(*worked_pair)
@@ -177,13 +175,6 @@ class TestReport:
         with pytest.raises(ValueError):
             bfm_distance(*worked_pair, alpha=1.5)
 
-    def test_value_selector(self, worked_pair):
-        report = bfm_distance(*worked_pair)
-        assert report.value(Attitude.OPTIMISTIC) == report.optim
-        assert report.value(Attitude.PESSIMISTIC) == report.pessim
-        assert report.value(Attitude.AVERAGE) == report.aver
-        assert report.value(Attitude.HURWICZ) == report.hurwicz
-
     def test_symmetry_of_scalars(self, pref):
         pairs = [("C > A", "A > B"), ("A > B", "(A = C) > B"), ("B > C", "C > A")]
         for text1, text2 in pairs:
@@ -196,12 +187,12 @@ class TestReport:
             assert np.allclose(forward.grid, backward.grid.T)
 
     def test_total_inputs_collapse_to_classical_distance(self):
-        orders = list(enumerate_weak_orders(3))
+        orders = all_weak_orders(3)
         for a, b in itertools.product(orders[:5], orders[:5]):
             report = bfm_distance(a, b)
             expected = normalized_distance(a, b)
-            for attitude in Attitude:
-                assert report.value(attitude) == pytest.approx(expected)
+            for value in (report.optim, report.pessim, report.aver, report.hurwicz):
+                assert value == pytest.approx(expected)
 
     def test_convention_choice_does_not_move_the_grid(self, capsys):
         replies = {}

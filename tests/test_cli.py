@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefdist
-from prefdist import ObjectUniverse, WeakOrder, cli, enumerate_weak_orders, render_preference
+from prefdist import ObjectUniverse, WeakOrder, cli, render_preference
 from prefdist.cli import main
 from prefdist.enumeration import CompatibleSet
 
-from strategies import preference_texts
+from strategies import all_weak_orders, preference_texts
 from test_cli_fuzz import argv_calls
 
 TOL = 5e-5
@@ -60,14 +60,15 @@ class TestDist:
         assert len(payload["grid"]) == 5 and len(payload["grid"][0]) == 5
         assert payload["normalized"] == payload["aver"]
 
-    def test_bfm_specific_attitude_headline(self, capsys):
+    @pytest.mark.parametrize("attitude", ["optim", "pessim", "aver", "hurwicz"])
+    def test_bfm_specific_attitude_headline(self, capsys, attitude):
         payload = run_json(
             capsys,
             "dist", "--method", "bfm", "--objects", "A,B,C",
-            "--pref1", "C>A", "--pref2", "A>B", "--attitude", "pessim",
+            "--pref1", "C>A", "--pref2", "A>B", "--attitude", attitude,
         )
-        assert payload["normalized"] == 1.0
-        assert payload["raw"] == pytest.approx(payload["max"])
+        assert payload["normalized"] == payload[attitude]
+        assert payload["raw"] == payload["normalized"] * payload["max"]
 
     def test_direct_is_the_default_method(self, capsys):
         payload = run_json(
@@ -526,14 +527,15 @@ class TestCompatibleCommand:
         }
 
     def test_completions_print_without_building_the_tuple_of_orders(self, capsys, monkeypatch):
+        universe = ObjectUniverse(tuple("ABCD"))
+        expected = [render_preference(order, universe) for order in all_weak_orders(4)]
+
         def refuse(self):
             raise AssertionError("compatible read CompatibleSet.ctpos")
 
         monkeypatch.setattr(CompatibleSet, "ctpos", property(refuse))
         code, out, _ = run(capsys, "compatible", "--objects", "A,B,C,D", "--pref", "C")
         assert code == 0
-        universe = ObjectUniverse(tuple("ABCD"))
-        expected = [render_preference(order, universe) for order in enumerate_weak_orders(4)]
         assert out.splitlines() == expected  # C alone: every weak order of four objects
 
     @pytest.mark.parametrize(
@@ -656,10 +658,17 @@ class TestClosedPipe:
     def test_a_reply_over_1_mb_is_still_being_written(self, argv):
         assert self.outcome(argv, 16, fresh_env()) == (1, b"")
 
-    def test_a_buffered_short_reply_meets_it_in_the_last_flush(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"],
+            ["dist", "--help"],
+            ["--help"],
+        ],
+    )
+    def test_a_buffered_short_reply_meets_it_in_the_last_flush(self, argv):
         env = fresh_env()
         env.pop("PYTHONUNBUFFERED", None)
-        argv = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
         assert self.outcome(argv, 0, env) == (1, b"")
 
 

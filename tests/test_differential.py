@@ -61,7 +61,6 @@ from prefdist import (
     compatible_tpos,
     direct_distance,
     direct_distance_general,
-    enumerate_weak_orders,
     indirect_distance,
     jousselme_distance,
     load_bba_matrix,
@@ -71,7 +70,6 @@ from prefdist import (
     render_preference,
 )
 from prefdist import bfm, cli
-from prefdist.enumeration import _completions
 from prefdist.model import _LABEL, render_ranks
 from prefdist.psm import (
     _COST,
@@ -86,6 +84,7 @@ from strategies import (
     CODE_SCORE,
     ReferenceWeakOrder,
     all_partial_orders,
+    all_weak_orders,
     chain_order,
     classes,
     mentioned,
@@ -840,10 +839,6 @@ def test_maxima_are_exact(n):
 
 class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_empty_order_completes_to_every_weak_order(self, n):
-        assert compatible_tpos(WeakOrder((), n)).ctpos == tuple(enumerate_weak_orders(n))
-
-    @pytest.mark.parametrize("n", range(1, 6))
     def test_completions_are_bitwise_the_recursive_generator(self, n):
         for order in all_partial_orders(n):
             rows = list(reference_rank_vectors(order.rank_tuple))
@@ -879,7 +874,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_weak_orders_follow_the_recursive_generator(self, n):
-        vectors = [order.rank_tuple for order in enumerate_weak_orders(n)]
+        vectors = [order.rank_tuple for order in all_weak_orders(n)]
         assert vectors == list(reference_rank_vectors((-1,) * n))
 
     @pytest.mark.parametrize("convention", list(PsmConvention))
@@ -962,7 +957,7 @@ class TestWeakOrderModel:
         universe = ObjectUniverse.numbered(n)
         objects = ",".join(universe.labels)
         for order in all_partial_orders(n):
-            rows = _completions(order.rank_tuple).tolist()
+            rows = compatible_tpos(order).ranks.tolist()
             expected = [
                 reference_render_preference(reference_order_of_ranks(row), universe)
                 for row in rows
@@ -1102,7 +1097,7 @@ def test_max_psm_distance_is_exact(n, convention):
 @pytest.mark.parametrize("convention", list(PsmConvention))
 @pytest.mark.parametrize("n", range(1, 6))
 def test_score_table_is_bitwise_the_per_order_construction(n, convention):
-    for order in enumerate_weak_orders(n):
+    for order in all_weak_orders(n):
         entries = CODE_SCORE[convention][reference_relation_codes(order)]
         expected = reference_build_psm(order, convention)
         assert entries.dtype == expected.dtype and entries.shape == expected.shape
@@ -1110,7 +1105,7 @@ def test_score_table_is_bitwise_the_per_order_construction(n, convention):
 
 
 TOTAL_PAIRS_UP_TO_FOUR = [
-    pair for n in (2, 3, 4) for pair in itertools.product(enumerate_weak_orders(n), repeat=2)
+    pair for n in (2, 3, 4) for pair in itertools.product(all_weak_orders(n), repeat=2)
 ]
 
 

@@ -14,12 +14,12 @@ from prefdist import (
     PreferenceSyntaxError,
     UnknownObjectError,
     WeakOrder,
-    enumerate_weak_orders,
     parse_preference,
     render_preference,
 )
 
 from strategies import (
+    all_weak_orders,
     chain_order,
     classes,
     mentioned,
@@ -247,7 +247,7 @@ class TestRelation:
 
     def test_antisymmetry_over_all_orders_of_three(self):
         relations = list(PairRelation)
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             codes = reference_relation_codes(order)
             for i in range(3):
                 for j in range(3):
@@ -274,7 +274,7 @@ class TestReverse:
         assert reverse(pref("C > (A = B)")) == pref("(A = B) > C")
 
     def test_involution_over_all_orders_of_three(self):
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             assert reverse(reverse(order)) == order
 
 
@@ -296,7 +296,7 @@ class TestRestrict:
 
     def test_preserves_pairwise_relations(self):
         subset = {0, 2, 3}
-        for order in enumerate_weak_orders(4):
+        for order in all_weak_orders(4):
             restricted = restrict(order, subset)
             assert mentioned(restricted) == frozenset(subset)
             kept = np.ix_(sorted(subset), sorted(subset))
@@ -312,7 +312,7 @@ class TestRender:
         assert render_preference(pref("C>(B=A)"), abc) == "C > (A = B)"
 
     def test_round_trip_over_all_orders_of_three(self, abc):
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             assert parse_preference(render_preference(order, abc), abc) == order
 
     def test_universe_size_must_match(self, pref):

@@ -25,7 +25,6 @@ from prefdist import (
     bfm_distance,
     compatible_tpos,
     direct_distance,
-    enumerate_weak_orders,
     indirect_distance,
     max_psm_distance,
     normalized_distance,
@@ -37,6 +36,7 @@ from prefdist.enumeration import _completion_count
 from strategies import (
     CODE_SCORE,
     all_partial_orders,
+    all_weak_orders,
     chain_order,
     classes,
     mentioned,
@@ -125,7 +125,7 @@ class TestMassProperties:
 def _distance_tables():
     """13 x 13 normalized distance matrix for each method, rows/cols in
     enumeration order."""
-    orders = list(enumerate_weak_orders(3))
+    orders = all_weak_orders(3)
     tables = {}
     tables["classical"] = np.array(
         [[normalized_distance(a, b) for b in orders] for a in orders]

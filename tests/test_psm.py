@@ -11,12 +11,11 @@ from prefdist import (
     NotTotalError,
     PsmConvention,
     direct_distance,
-    enumerate_weak_orders,
     max_psm_distance,
     normalized_distance,
 )
 
-from strategies import CODE_SCORE, reference_relation_codes
+from strategies import CODE_SCORE, all_weak_orders, reference_relation_codes
 from test_differential import reference_build_psm
 from test_model import check_frozen_value
 
@@ -49,13 +48,13 @@ class TestScoreMatrix:
         assert np.array_equal(entries, np.zeros((3, 3)))
 
     def test_signed_antisymmetry_over_all_orders_of_three(self):
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             entries = scores(order, PsmConvention.SIGNED)
             assert np.array_equal(entries.T, -entries)
             assert entries.trace() == 0.0
 
     def test_unit_complementarity_over_all_orders_of_three(self):
-        for order in enumerate_weak_orders(3):
+        for order in all_weak_orders(3):
             entries = scores(order, PsmConvention.UNIT)
             assert np.array_equal(entries + entries.T, np.ones((3, 3)))
 
@@ -82,7 +81,7 @@ class TestMaxDistance:
 
     def test_two_objects_signed_against_brute_force(self):
         # independent oracle: exhaustive maximum over all weak-order pairs
-        orders = list(enumerate_weak_orders(2))
+        orders = all_weak_orders(2)
         matrices = [reference_build_psm(order, PsmConvention.SIGNED) for order in orders]
         brute = max(np.linalg.norm(m1 - m2) for m1 in matrices for m2 in matrices)
         assert max_psm_distance(2, PsmConvention.SIGNED) == pytest.approx(brute)
@@ -103,7 +102,7 @@ class TestMaxDistance:
 
     def test_reversal_attains_exhaustive_maximum_at_three(self):
         for convention in PsmConvention:
-            orders = list(enumerate_weak_orders(3))
+            orders = all_weak_orders(3)
             matrices = [reference_build_psm(order, convention) for order in orders]
             brute = max(np.linalg.norm(m1 - m2) for m1 in matrices for m2 in matrices)
             assert brute == pytest.approx(max_psm_distance(3, convention))
@@ -126,12 +125,12 @@ class TestNormalizedDistance:
             normalized_distance(pref("A > B > C"), pref("C > A"))
 
     def test_universe_size_mismatch(self, pref):
-        other = next(enumerate_weak_orders(4))
+        other = all_weak_orders(4)[0]
         with pytest.raises(DimensionMismatchError):
             normalized_distance(pref("A > B > C"), other)
 
     def test_values_lie_in_unit_interval(self):
-        orders = list(enumerate_weak_orders(3))
+        orders = all_weak_orders(3)
         for a, b in itertools.product(orders, orders):
             d = normalized_distance(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
