@@ -73,7 +73,6 @@ __all__ = [
     "BbaMetric",
     "BfmReport",
     "CapExceededError",
-    "CompatibleSet",
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateUniverseError",
     "DimensionMismatchError",

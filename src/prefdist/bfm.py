@@ -87,7 +87,7 @@ def _squared_grid(
     i, j = _upper(n)
     u, v = (
         np.sign(ranks[:, j] - ranks[:, i]).astype(dtype)
-        for ranks in (compatible_tpos(ppo1, cap=cap).ranks, compatible_tpos(ppo2, cap=cap).ranks)
+        for ranks in (compatible_tpos(ppo1, cap=cap), compatible_tpos(ppo2, cap=cap))
     )
     v_norms = np.einsum("ij,ij->i", v, v)
     v *= -4  # in place: v is astype's own copy, and a scaled copy could be the larger operand

@@ -242,7 +242,7 @@ def _print_orders(order: WeakOrder, universe: ObjectUniverse, cap: int | None) -
     and return how many there are."""
     from .enumeration import compatible_tpos
 
-    ranks = compatible_tpos(order, cap=_effective_cap(cap)).ranks
+    ranks = compatible_tpos(order, cap=_effective_cap(cap))
     for start in range(0, len(ranks), 4096):
         rows = ranks[start : start + 4096].tolist()
         sys.stdout.write("".join(render_ranks(row, universe.labels) + "\n" for row in rows))

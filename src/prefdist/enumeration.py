@@ -10,8 +10,6 @@ raises instead of truncating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +48,8 @@ def _check_size(n: int, cap: int | None) -> None:
     if n < 1:
         raise ValueError(f"need at least one object, got {n}")
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
+    if limit < 1:
+        raise ValueError(f"cap must be at least 1, got {limit}")
     if n > limit:
         raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
 
@@ -67,37 +67,16 @@ def _completion_count(ppo: WeakOrder, *, cap: int | None = None) -> int:
     return sum(counts)
 
 
-@dataclass(frozen=True)
-class CompatibleSet:
-    """A partial order together with every total order that completes it.
-
-    ``ranks`` is the generator's read-only array, one completion's rank vector
-    per row in the smallest signed type holding -1..n-1; the ``WeakOrder``
-    values are built from it only when ``ctpos`` is read.  The completions are
-    a function of ``ppo``, so sets compare and hash by it.
-    """
-
-    ppo: WeakOrder
-    ranks: NDArray[np.signedinteger] = field(compare=False)
-
-    @cached_property
-    def ctpos(self) -> tuple[WeakOrder, ...]:
-        return tuple(map(WeakOrder._dense, map(tuple, self.ranks.tolist())))
-
-    @property
-    def count(self) -> int:
-        return len(self.ranks)
-
-
-def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> CompatibleSet:
+def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> NDArray[np.signedinteger]:
     """Every total order whose restriction to the mentioned objects equals ``ppo``.
 
-    The enumeration generates them directly and builds no incompatible order.
-    An order mentioning nothing is compatible with every total order; a total
-    order only with itself.  Completions are in lexicographic order of their
-    rank vectors.
+    The result is a read-only array with one completion's rank vector per row,
+    in lexicographic order, in the smallest signed type holding -1..n-1; its
+    length is the number of completions.  The enumeration generates them
+    directly and builds no incompatible order.  An order mentioning nothing is
+    compatible with every total order; a total order only with itself.
     """
     _check_size(ppo.universe_size, cap)
     ranks = _completions(ppo.rank_tuple)
     ranks.flags.writeable = False
-    return CompatibleSet(ppo, ranks)
+    return ranks

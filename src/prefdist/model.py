@@ -53,8 +53,8 @@ class _Frozen:
     names its fields.  A subclass sets them with ``object.__setattr__`` and rebuilds
     itself in ``__reduce__``, as copy and pickle would restore them by assigning."""
 
-    # dataclasses would load inspect, ast, dis and tokenize; belief, bfm and enumeration
-    # keep @dataclass, as they load only after numpy, whose import loads inspect anyway
+    # dataclasses would load inspect, ast, dis and tokenize; belief and bfm keep
+    # @dataclass, as they load only after numpy, whose import loads inspect anyway
     __slots__ = ()
 
     def _fields(self) -> tuple:

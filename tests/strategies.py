@@ -171,10 +171,16 @@ def pair_cost(values):
     return np.atleast_3d(np.square(values[:, None] - values)).sum(axis=-1)
 
 
+def ctpos(order):
+    """The completions of ``order`` as ``WeakOrder`` values, one per row of
+    ``compatible_tpos(order)``; the rows are dense, so they skip the check."""
+    return tuple(WeakOrder._dense(tuple(row)) for row in compatible_tpos(order).tolist())
+
+
 def all_weak_orders(n):
     """Every weak order of n objects, in lexicographic order of their rank
     vectors: the completions of the order that mentions none of them."""
-    return compatible_tpos(WeakOrder((), n)).ctpos
+    return ctpos(WeakOrder((), n))
 
 
 def all_partial_orders(n):

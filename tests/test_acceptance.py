@@ -20,7 +20,6 @@ from prefdist import (
     ObjectUniverse,
     PsmConvention,
     bfm_distance,
-    compatible_tpos,
     direct_distance,
     indirect_distance,
     max_psm_distance,
@@ -33,6 +32,7 @@ from strategies import (
     CODE_SCORE,
     all_weak_orders,
     chain_order,
+    ctpos,
     reference_relation_codes,
     reverse,
     swapped,
@@ -100,14 +100,14 @@ def test_criterion_02_enumeration():
 
 @criterion(3, "compatible completions of the two worked partial orders")
 def test_criterion_03_compatible_completions():
-    first = compatible_tpos(pref("C > A"))
-    assert first.count == 5
-    assert {text(t) for t in first.ctpos} == {
+    first = ctpos(pref("C > A"))
+    assert len(first) == 5
+    assert {text(t) for t in first} == {
         "B > C > A", "C > A > B", "C > B > A", "C > (A = B)", "(B = C) > A",
     }
-    second = compatible_tpos(pref("A > B"))
-    assert second.count == 5
-    assert {text(t) for t in second.ctpos} == {
+    second = ctpos(pref("A > B"))
+    assert len(second) == 5
+    assert {text(t) for t in second} == {
         "A > B > C", "A > C > B", "C > A > B", "A > (B = C)", "(A = C) > B",
     }
 
@@ -129,8 +129,8 @@ def test_criterion_04_brute_force_grid():
     ppo1, ppo2 = pref("C > A"), pref("A > B")
     report = bfm_distance(ppo1, ppo2)
     grid = report.grid
-    rows = [text(t) for t in compatible_tpos(ppo1).ctpos]
-    cols = [text(t) for t in compatible_tpos(ppo2).ctpos]
+    rows = [text(t) for t in ctpos(ppo1)]
+    cols = [text(t) for t in ctpos(ppo2)]
     checked = 0
     for row_name, golden_row in golden_squared.items():
         for col_name, k in golden_row.items():

@@ -19,7 +19,6 @@ PUBLIC = [
     "BbaMetric",
     "BfmReport",
     "CapExceededError",
-    "CompatibleSet",
     "DEFAULT_ENUMERATION_CAP",
     "DegenerateUniverseError",
     "DimensionMismatchError",
@@ -71,6 +70,7 @@ REMOVED = [
     ("prefdist.enumeration", "enumerate_weak_orders"),
     ("prefdist.enumeration", "_completion_rows"),
     ("prefdist.bfm", "Attitude"),
+    ("prefdist.enumeration", "CompatibleSet"),
 ]
 
 

@@ -19,7 +19,7 @@ from prefdist import (
 )
 from prefdist.cli import main
 
-from strategies import all_weak_orders, chain_order, classes, reverse
+from strategies import all_weak_orders, chain_order, classes, ctpos, reverse
 
 TOL = 5e-5
 
@@ -60,8 +60,8 @@ class TestGrid:
     def test_every_golden_cell(self, abc, worked_pair):
         ppo1, ppo2 = worked_pair
         grid = bfm_distance(ppo1, ppo2).grid
-        rows = [render_preference(t, abc) for t in compatible_tpos(ppo1).ctpos]
-        cols = [render_preference(t, abc) for t in compatible_tpos(ppo2).ctpos]
+        rows = [render_preference(t, abc) for t in ctpos(ppo1)]
+        cols = [render_preference(t, abc) for t in ctpos(ppo2)]
         assert grid.shape == (5, 5)
         for row_name, expected_row in GOLDEN_SQUARED.items():
             for col_name, k in expected_row.items():
@@ -70,8 +70,8 @@ class TestGrid:
 
     def test_full_contradiction_cell_is_one(self, abc, worked_pair):
         grid = bfm_distance(*worked_pair).grid
-        rows = [render_preference(t, abc) for t in compatible_tpos(worked_pair[0]).ctpos]
-        cols = [render_preference(t, abc) for t in compatible_tpos(worked_pair[1]).ctpos]
+        rows = [render_preference(t, abc) for t in ctpos(worked_pair[0])]
+        cols = [render_preference(t, abc) for t in ctpos(worked_pair[1])]
         assert grid[rows.index("B > C > A"), cols.index("A > C > B")] == pytest.approx(1.0)
 
     def test_entries_lie_in_unit_interval(self, worked_pair):
@@ -110,10 +110,15 @@ class TestGrid:
         with pytest.raises(CapExceededError, match="^n=9 exceeds the enumeration cap 8$"):
             bfm_distance(WeakOrder(((0,),), 9), WeakOrder(((1,),), 9))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_a_usage_error(self, worked_pair, cap):
+        with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$"):
+            bfm_distance(*worked_pair, cap=cap)
+
     def test_squared_grid_holds_the_golden_integers(self, abc, worked_pair):
         report = bfm_distance(*worked_pair)
-        rows = [render_preference(t, abc) for t in compatible_tpos(worked_pair[0]).ctpos]
-        cols = [render_preference(t, abc) for t in compatible_tpos(worked_pair[1]).ctpos]
+        rows = [render_preference(t, abc) for t in ctpos(worked_pair[0])]
+        cols = [render_preference(t, abc) for t in ctpos(worked_pair[1])]
         assert report.squared.dtype == np.uint8 and report.maximum == math.sqrt(24)
         for row_name, expected_row in GOLDEN_SQUARED.items():
             for col_name, k in expected_row.items():
@@ -137,7 +142,7 @@ class TestGrid:
         assert bfm_distance(chain, reverse(chain), cap=n).pessim == 1.0
 
     def test_cell_limit_admits_every_grid_of_six_objects(self):
-        largest = compatible_tpos(WeakOrder((), 6)).count
+        largest = len(compatible_tpos(WeakOrder((), 6)))
         assert largest == 4683
         assert prefdist.bfm.GRID_CELL_LIMIT >= largest**2
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import prefdist
 from prefdist import ObjectUniverse, WeakOrder, cli, render_preference
 from prefdist.cli import main
-from prefdist.enumeration import CompatibleSet
 
 from strategies import all_weak_orders, preference_texts
 from test_cli_fuzz import argv_calls
@@ -526,22 +525,20 @@ class TestCompatibleCommand:
             "(B = C) > A",
         }
 
-    def test_completions_print_without_building_the_tuple_of_orders(self, capsys, monkeypatch):
+    def test_completions_print_without_building_the_tuple_of_orders(self, capsys):
         universe = ObjectUniverse(tuple("ABCD"))
         expected = [render_preference(order, universe) for order in all_weak_orders(4)]
-
-        def refuse(self):
-            raise AssertionError("compatible read CompatibleSet.ctpos")
-
-        monkeypatch.setattr(CompatibleSet, "ctpos", property(refuse))
         code, out, _ = run(capsys, "compatible", "--objects", "A,B,C,D", "--pref", "C")
         assert code == 0
         assert out.splitlines() == expected  # C alone: every weak order of four objects
 
     @pytest.mark.parametrize(
-        "argv", [("compatible", "--objects", "A,B,C,D", "--pref", "C"), ("enumerate", "--n", "4")]
+        "argv, built",
+        [(("compatible", "--objects", "A,B,C,D", "--pref", "C"), 0), (("enumerate", "--n", "4"), 1)],
     )
-    def test_listings_build_no_weak_order(self, capsys, monkeypatch, argv):
+    def test_listings_build_no_weak_order(self, capsys, monkeypatch, argv, built):
+        """A listing prints the completions' rank rows and builds no order
+        from them; ``enumerate`` builds only the empty order it completes."""
         expected = run(capsys, *argv)
         parsed = WeakOrder(((2,),), 4)
         monkeypatch.setattr(cli, "_parse_pref", lambda *args: parsed)
@@ -549,9 +546,18 @@ class TestCompatibleCommand:
         def refuse(*args):
             raise AssertionError("a listing built a WeakOrder")
 
+        dense = WeakOrder._dense.__func__
+        calls = []
+
+        def counted(cls, rank_tuple):
+            calls.append(rank_tuple)
+            return dense(cls, rank_tuple)
+
         monkeypatch.setattr(WeakOrder, "__init__", refuse)
         monkeypatch.setattr(WeakOrder, "from_ranks", classmethod(refuse))
+        monkeypatch.setattr(WeakOrder, "_dense", classmethod(counted))
         assert run(capsys, *argv) == expected
+        assert len(calls) == built, calls
 
     def test_parse_error_names_the_field(self, capsys):
         code, _, err = run(capsys, "compatible", "--objects", "A,B,C", "--pref", "C >")

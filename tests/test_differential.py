@@ -87,6 +87,7 @@ from strategies import (
     all_weak_orders,
     chain_order,
     classes,
+    ctpos,
     mentioned,
     pair_cost,
     preference_texts,
@@ -327,7 +328,7 @@ def reference_bfm_grid(ppo1, ppo2, convention, completions=reference_compatible_
 @functools.cache
 def float_score_rows(order):
     """The flattened signed score matrix of each completion of ``order``."""
-    ranks = compatible_tpos(order).ranks
+    ranks = compatible_tpos(order)
     signed = np.sign(ranks[:, None, :] - ranks[:, :, None])  # +1 where row outranks column
     return signed.astype(np.float64).reshape(len(ranks), -1)
 
@@ -517,10 +518,9 @@ def assert_bfm_stdout_matches_reference(a, b, convention, fmt):
 
 
 def assert_completions_match_reference(order):
-    result = compatible_tpos(order)
     expected = reference_compatible_tpos(order)
-    assert result.ctpos == expected
-    assert result.ranks.tolist() == [list(t.rank_tuple) for t in expected]
+    assert ctpos(order) == expected
+    assert compatible_tpos(order).tolist() == [list(t.rank_tuple) for t in expected]
 
 
 @st.composite
@@ -843,8 +843,9 @@ class TestBruteForce:
         for order in all_partial_orders(n):
             rows = list(reference_rank_vectors(order.rank_tuple))
             expected = np.array(rows, dtype=np.min_scalar_type(-n)).reshape(-1, n)
-            ranks = compatible_tpos(order).ranks
-            assert ranks.dtype == np.min_scalar_type(-n) and not ranks.flags.writeable, order
+            ranks = compatible_tpos(order)
+            assert type(ranks) is np.ndarray and ranks.dtype == np.min_scalar_type(-n), order
+            assert not ranks.flags.writeable, order
             assert ranks.shape == expected.shape, order
             assert ranks.tobytes() == expected.tobytes(), order
 
@@ -865,7 +866,7 @@ class TestBruteForce:
             [-1 if i == left_out else i - (i > left_out) for i in range(n)]
         )
         for order in (total, partial):
-            ranks = compatible_tpos(order, cap=n).ranks
+            ranks = compatible_tpos(order, cap=n)
             assert ranks.dtype == np.min_scalar_type(-n) == (np.int8 if n <= 128 else np.int16)
             assert ranks.tolist() == [list(t.rank_tuple) for t in reference_insertions(order)]
         grid = bfm_distance(partial, total, cap=n).grid
@@ -957,7 +958,7 @@ class TestWeakOrderModel:
         universe = ObjectUniverse.numbered(n)
         objects = ",".join(universe.labels)
         for order in all_partial_orders(n):
-            rows = compatible_tpos(order).ranks.tolist()
+            rows = compatible_tpos(order).tolist()
             expected = [
                 reference_render_preference(reference_order_of_ranks(row), universe)
                 for row in rows

@@ -237,11 +237,10 @@ class TestMetricAxiomsAtFourAndFive:
             assert (d(a, b) == 0.0) == (a == b), name
 
 
-@pytest.fixture(scope="module")
-def three_object_partial_tables():
-    """Distance tables over the 25 non-empty partial orders of three objects,
-    for the belief methods and the three bfm attitudes."""
-    orders = all_partial_orders(3)[1:]
+def partial_tables(n):
+    """Distance tables over the non-empty partial orders of n objects, for the
+    belief methods and the three bfm attitudes."""
+    orders = all_partial_orders(n)[1:]
     tables = {
         name: np.array([[d(a, b) for b in orders] for a in orders])
         for name, d in ORDER_DISTANCES.items()
@@ -250,6 +249,12 @@ def three_object_partial_tables():
     for attitude in ("optim", "pessim", "aver"):
         tables[attitude] = np.array([[getattr(r, attitude) for r in row] for row in reports])
     return orders, tables
+
+
+@pytest.fixture(scope="module")
+def three_object_partial_tables():
+    """The tables over the 25 non-empty partial orders of three objects."""
+    return partial_tables(3)
 
 
 class TestMetricStatusOfEveryPartialOrderOfThree:
@@ -319,6 +324,29 @@ class TestAgreementWithBfmAtThree:
             assert int(inside.sum()) == self.INSIDE[name], name
 
 
+class TestAgreementWithBfmAtFour:
+    """The README's table over the 22,201 pairs of non-empty partial orders of
+    four objects: each belief route's Spearman with bfm's aver, and how many
+    pairs fall inside [optim, pessim]."""
+
+    SPEARMAN = {"direct": 0.484836, "jousselme": 0.772565, "belief-interval": 0.750169}
+    INSIDE = {"direct": 7045, "jousselme": 16701, "belief-interval": 16245}
+
+    def test_spearman_with_aver_and_pairs_inside_optim_and_pessim(self):
+        orders, tables = partial_tables(4)
+        assert len(orders) == 149
+        aver = np.round(tables["aver"].ravel(), 12)
+        optim, pessim = tables["optim"].ravel(), tables["pessim"].ravel()
+        for name, expected in self.SPEARMAN.items():
+            d = tables[name].ravel()
+            assert spearman(np.round(d, 12), aver) == pytest.approx(expected, abs=5e-7), name
+            inside = (optim - 1e-12 <= d) & (d <= pessim + 1e-12)
+            assert int(inside.sum()) == self.INSIDE[name], name
+        # without the slack, direct often falls just outside, at an end up to rounding
+        d = tables["direct"].ravel()
+        assert int(((optim <= d) & (d <= pessim)).sum()) == 6637
+
+
 class TestOperandSymmetryAtBeliefOrdersSizes:
     """The belief methods at N = 6..64, the sizes of the belief_orders workload."""
 
@@ -374,9 +402,9 @@ def relabel(order, perm):
 def completion_rows(order, perm):
     """For each completion of ``order``, in order, the row of its relabeled
     self among the completions of ``relabel(order, perm)``."""
-    moved = compatible_tpos(relabel(order, perm)).ranks.tolist()
+    moved = compatible_tpos(relabel(order, perm)).tolist()
     index = {tuple(row): k for k, row in enumerate(moved)}
-    rows = compatible_tpos(order).ranks[:, np.argsort(perm)].tolist()
+    rows = compatible_tpos(order)[:, np.argsort(perm)].tolist()
     return [index[tuple(row)] for row in rows]
 
 
