@@ -32,6 +32,10 @@ GRID_CELL_LIMIT = 4683**2
 # read a grid, so neither holds a grid-sized temporary array
 _BLOCK_CELLS = 16384
 
+# Most cells in one block of rows of the floating-point Gram product; each block
+# is cast into the integer grid, so no grid-sized float array is held
+_GRAM_BLOCK_CELLS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class BfmReport:
@@ -89,12 +93,17 @@ def _squared_grid(
         np.sign(ranks[:, j] - ranks[:, i]).astype(dtype)
         for ranks in (compatible_tpos(ppo1, cap=cap), compatible_tpos(ppo2, cap=cap))
     )
-    v_norms = np.einsum("ij,ij->i", v, v)
+    u_norms = 2 * np.einsum("ij,ij->i", u, u)[:, None]
+    v_norms = 2 * np.einsum("ij,ij->i", v, v)
     v *= -4  # in place: v is astype's own copy, and a scaled copy could be the larger operand
-    grid = u @ v.T
-    grid += 2 * np.einsum("ij,ij->i", u, u)[:, None]
-    grid += 2 * v_norms
-    return grid.astype(np.min_scalar_type(top)), max_psm_distance(n)
+    grid = np.empty((rows, cols), dtype=np.min_scalar_type(top))
+    step = max(1, _GRAM_BLOCK_CELLS // cols)
+    for start in range(0, rows, step):
+        block = u[start : start + step] @ v.T
+        block += u_norms[start : start + step]
+        block += v_norms
+        grid[start : start + step] = block
+    return grid, max_psm_distance(n)
 
 
 def bfm_distance(

@@ -8,14 +8,17 @@ rest is dropped.
 The PREFDIST_CAP environment variable overrides the default cap; an explicit
 --cap flag wins over both.
 
-A plain call, the subcommand then only ``--flag value`` pairs, is read straight
-from that subcommand's option table (``_plain_args``), since argparse would cost
-more than parsing both orders: each flag is spelled in full, no value starts
-with ``-``, each value converts and passes its choices, and every required
-argument is given.  Any other call (help, ``--flag=value``, an abbreviation, a
-value such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s
-file paths) goes to argparse, which keeps its own messages and exit codes.  The
-table is read from the parsers of ``_build_parser``, the one grammar.
+The grammar is one table, ``_COMMANDS``: each subcommand's help text, handler
+and ``(name, add_argument keywords)`` rows.  A plain call, the subcommand then
+only ``--flag value`` pairs, is read straight from its rows (``_plain_args``):
+each flag is spelled in full, no value starts with ``-``, each value converts
+and passes its choices, and every required argument is given.  Such a call
+imports no argparse and builds no parser, which would cost more than parsing
+both orders.  Any other call (help, ``--flag=value``, an abbreviation, a value
+such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s file
+paths, a first word that is no subcommand) goes to the argparse parsers that
+``_build_parser`` builds from the same rows, which keep their own messages and
+exit codes.
 
 The handlers import ``bfm``, ``enumeration`` and the mass-grid loader when
 they run: those need numpy, and a ``dist`` call with a belief method, which
@@ -24,11 +27,11 @@ needs none, then never loads it.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from .errors import (
@@ -53,6 +56,8 @@ from .psm import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .bfm import BfmReport
 
 EXIT_USAGE = 2
@@ -249,130 +254,138 @@ def _print_orders(order: WeakOrder, universe: ObjectUniverse, cap: int | None) -
     return len(ranks)
 
 
+_FORMAT = ("--format", {"choices": ["json", "table"], "default": "json"})
+
+#: The command line's grammar: each subcommand's help text, its handler, and
+#: its arguments as ``(name, add_argument keywords)`` rows, in argparse's order.
+_COMMANDS = {
+    "dist": (
+        "distance between two preference orderings over one universe",
+        _cmd_dist,
+        (
+            ("--objects", {"required": True, "help": "comma-separated object labels"}),
+            ("--pref1", {"required": True, "help": 'e.g. "C > A" or "B > (A = C)"'}),
+            ("--pref2", {"required": True}),
+            ("--method", {
+                "choices": ["bfm", "direct", *_METRICS],
+                "default": "direct",
+                "help": "bfm = exhaustive completion pairs; direct = mass-grid distance; "
+                "indirect-* = score-alike matrices (default: direct)",
+            }),
+            ("--conv", {
+                "choices": [c.value for c in PsmConvention],
+                "default": None,
+                "help": "bfm only: score-matrix convention for raw and max (default signed; "
+                "the normalized value is identical)",
+            }),
+            ("--attitude", {
+                "choices": ["all", "optim", "pessim", "aver", "hurwicz"],
+                "default": None,
+                "help": "bfm only: which scalar to headline (default all, headlining aver)",
+            }),
+            ("--alpha", {"type": float, "default": None, "help": "Hurwicz weight on the minimum"}),
+            ("--cap", {"type": int, "default": None, "help": "enumeration cap override"}),
+            _FORMAT,
+        ),
+    ),
+    "dist-general": (
+        "direct distance between two BBA-matrix JSON files",
+        _cmd_dist_general,
+        (
+            ("bba1", {"help": "path to the first matrix"}),
+            ("bba2", {"help": "path to the second matrix"}),
+            _FORMAT,
+        ),
+    ),
+    "enumerate": (
+        "list every weak order of n objects",
+        _cmd_enumerate,
+        (
+            ("--n", {"type": int, "default": None, "help": "number of objects"}),
+            ("--objects", {"default": None, "help": "labels to render with"}),
+            ("--cap", {"type": int, "default": None}),
+        ),
+    ),
+    "compatible": (
+        "list the total orders compatible with a partial one",
+        _cmd_compatible,
+        (
+            ("--objects", {"required": True}),
+            ("--pref", {"required": True}),
+            ("--cap", {"type": int, "default": None}),
+        ),
+    ),
+}
+
+
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command line's grammar: the top-level parser and the subcommands' parsers."""
+    """The top-level parser and the subcommands' parsers, built from ``_COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="prefdist",
         description="Normalized distances between total and partial preference orderings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    dist = sub.add_parser(
-        "dist", help="distance between two preference orderings over one universe"
-    )
-    dist.add_argument("--objects", required=True, help="comma-separated object labels")
-    dist.add_argument("--pref1", required=True, help='e.g. "C > A" or "B > (A = C)"')
-    dist.add_argument("--pref2", required=True)
-    dist.add_argument(
-        "--method",
-        choices=["bfm", "direct", *_METRICS],
-        default="direct",
-        help="bfm = exhaustive completion pairs; direct = mass-grid distance; "
-        "indirect-* = score-alike matrices (default: direct)",
-    )
-    dist.add_argument(
-        "--conv",
-        choices=[c.value for c in PsmConvention],
-        default=None,
-        help="bfm only: score-matrix convention for raw and max (default signed; "
-        "the normalized value is identical)",
-    )
-    dist.add_argument(
-        "--attitude",
-        choices=["all", "optim", "pessim", "aver", "hurwicz"],
-        default=None,
-        help="bfm only: which scalar to headline (default all, headlining aver)",
-    )
-    dist.add_argument("--alpha", type=float, default=None, help="Hurwicz weight on the minimum")
-    dist.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    dist.add_argument("--format", choices=["json", "table"], default="json")
-    dist.set_defaults(handler=_cmd_dist)
-
-    general = sub.add_parser(
-        "dist-general", help="direct distance between two BBA-matrix JSON files"
-    )
-    general.add_argument("bba1", help="path to the first matrix")
-    general.add_argument("bba2", help="path to the second matrix")
-    general.add_argument("--format", choices=["json", "table"], default="json")
-    general.set_defaults(handler=_cmd_dist_general)
-
-    enum_cmd = sub.add_parser("enumerate", help="list every weak order of n objects")
-    enum_cmd.add_argument("--n", type=int, default=None, help="number of objects")
-    enum_cmd.add_argument("--objects", default=None, help="labels to render with")
-    enum_cmd.add_argument("--cap", type=int, default=None)
-    enum_cmd.set_defaults(handler=_cmd_enumerate)
-
-    compat = sub.add_parser(
-        "compatible", help="list the total orders compatible with a partial one"
-    )
-    compat.add_argument("--objects", required=True)
-    compat.add_argument("--pref", required=True)
-    compat.add_argument("--cap", type=int, default=None)
-    compat.set_defaults(handler=_cmd_compatible)
-
+    for command, (text, handler, rows) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for name, keywords in rows:
+            command_parser.add_argument(name, **keywords)
+        command_parser.set_defaults(handler=handler)
     return parser, sub.choices
 
 
-@functools.cache
-def _store_options(
-    sub: argparse.ArgumentParser,
-) -> tuple[dict[str, argparse.Action], list[argparse.Action]]:
-    """``sub``'s store actions by full option string, and its required actions."""
-    options = {
-        flag: action
-        for action in sub._actions
-        if type(action) is argparse._StoreAction
-        for flag in action.option_strings
-    }
-    return options, [action for action in sub._actions if action.required]
-
-
-def _plain_args(sub: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
-    """The namespace ``sub`` parses from ``words`` if they are ``--flag value``
-    pairs it reads as they stand, every required argument among them; else None.
+def _plain_args(command: str, words: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``command``'s parser makes of ``words`` if they are
+    ``--flag value`` pairs it reads as they stand, every required argument among
+    them; else None.
 
     Each value is converted and checked as argparse does, and the last of a
-    repeated flag wins.  The defaults, ``handler`` included, are read from
-    ``sub`` on every call, so ``set_defaults`` still takes effect.
+    repeated flag wins.  A command with positional arguments is never plain.
+    Rows are read for ``required``, ``default``, ``type`` and ``choices`` only:
+    every flag takes one value.
     """
-    options, required = _store_options(sub)
-    if len(words) % 2:
+    _, handler, rows = _COMMANDS[command]
+    options = {name: keywords for name, keywords in rows if name.startswith("--")}
+    if len(words) % 2 or len(options) < len(rows):
         return None
-    given = {}
+    # by dest, as no flag holds a "-" past its "--"; argparse would convert a
+    # string default by its type, and no row has both
+    values = {name[2:]: keywords.get("default") for name, keywords in rows}
+    given = set()
     for flag, text in zip(words[::2], words[1::2]):
-        action = options.get(flag)
-        if action is None or text.startswith("-"):
+        keywords = options.get(flag)
+        if keywords is None or text.startswith("-"):
             return None
+        convert = keywords.get("type")
         try:
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
             return None
-        given[action.dest] = value
-    if any(action.dest not in given for action in required):
+        values[flag[2:]] = value
+        given.add(flag)
+    if any(keywords.get("required") and flag not in given for flag, keywords in rows):
         return None
-    # argparse would convert a string default by its action's type; no action
-    # of _build_parser has both
-    defaults = {
-        action.dest: action.default
-        for action in sub._actions
-        if action.default is not argparse.SUPPRESS
-    }
-    return argparse.Namespace(**{**sub._defaults, **defaults, **given})
+    return SimpleNamespace(**values, handler=handler)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is not None:
+        args = _plain_args(command, argv[1:])
+        if args is not None:
+            return args
+    # help, a fault, or a spelling only argparse reads
     parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        sub = commands[argv[0]]
-        args = _plain_args(sub, argv[1:])
-        if args is None:  # help, a fault, or a spelling only argparse reads
-            # what the top-level parser does with this argv, without first scanning it all
-            args, extras = sub.parse_known_args(argv[1:])
-            if extras:
-                parser.error("unrecognized arguments: " + " ".join(extras))
+    if command is not None:
+        # what the top-level parser does with this argv, without first scanning it all
+        args, extras = commands[command].parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
         return args
     return parser.parse_args(argv)  # no command, help, an unknown command or a leading "--"
 

@@ -639,6 +639,55 @@ assert "numpy" in sys.modules
         assert normalized == [0.8165, 0.4832, 0.6966]
 
 
+class TestPlainCallsLoadNoArgparse:
+    """A plain call reads the grammar's table and builds no argparse parser, so
+    neither argparse nor the gettext it imports is loaded; help and
+    ``dist-general`` build the parsers."""
+
+    SCRIPT = """
+import contextlib, io, sys
+import prefdist.cli as cli
+control, unneeded = sys.argv[1].split("|"), set(sys.argv[2:])
+for argv in (
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "direct"],
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "indirect-j"],
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "indirect-bi"],
+    ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "bfm"],
+    ["enumerate", "--n", "3"],
+    ["compatible", "--objects", "A,B,C", "--pref", "C>A"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = unneeded & set(sys.modules)
+assert not loaded, sorted(loaded)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(control)
+    except SystemExit as exc:
+        code = exc.code
+assert code == 0, code
+assert "argparse" in sys.modules
+"""
+
+    @pytest.mark.parametrize("control", ["dist|--help", "dist-general|{0}|{0}"])
+    def test_plain_calls_then_help_or_dist_general(self, tmp_path, control):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"n": 2, "cells": [[{"2": 1}, {"1": 1}], [{"1|2|3": 1}, {"2": 1}]]}')
+        # what a bare interpreter loads in this environment is not the plain path's doing
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, env=fresh_env(), check=True,
+        )
+        unneeded = sorted({"argparse", "gettext"} - set(bare.stdout.split()))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, control.format(grid), *unneeded],
+            capture_output=True, text=True, env=fresh_env(),
+        )
+        assert done.returncode == 0, done.stderr
+        replies = [json.loads(line) for line in done.stdout.splitlines()[:4]]
+        normalized = [round(reply["normalized"], 4) for reply in replies]
+        assert normalized == [0.8165, 0.4832, 0.4419, 0.6966]
+
+
 class TestClosedPipe:
     """A reader that closes stdout before the reply ends: exit 1, nothing on
     stderr."""
@@ -698,23 +747,24 @@ def parse_outcome(parse, argv):
 
 @contextlib.contextmanager
 def handlers_return_their_namespace():
-    """Make ``main`` return the namespace it parsed instead of running a command."""
-    _, commands = cli._build_parser()
-    handlers = {name: sub.get_default("handler") for name, sub in commands.items()}
-    for sub in commands.values():
-        sub.set_defaults(handler=lambda args: args)
+    """Make ``main`` return the namespace it parsed instead of running a command:
+    each row of the grammar, and the parsers built from it, get that handler."""
+    commands = dict(cli._COMMANDS)
+    for name, (text, _, rows) in commands.items():
+        cli._COMMANDS[name] = (text, lambda args: args, rows)
+    cli._build_parser.cache_clear()
     try:
         yield
     finally:
-        for name, sub in commands.items():
-            sub.set_defaults(handler=handlers[name])
+        cli._COMMANDS.update(commands)
+        cli._build_parser.cache_clear()
 
 
 def assert_dispatch_matches_the_full_parser(argv):
     """``main`` hands a call straight to its subcommand's parser; the full
     parser, reading the whole argv, is the reference."""
-    parser, _ = cli._build_parser()
     with handlers_return_their_namespace():
+        parser, _ = cli._build_parser()
         assert parse_outcome(main, argv) == parse_outcome(parser.parse_args, argv)
 
 
@@ -775,19 +825,17 @@ class TestDispatch:
 
 
 class ReachedArgparse(Exception):
-    """Raised in place of any argparse parse."""
+    """Raised in place of building the argparse parsers."""
 
 
 @pytest.fixture
 def argparse_refused(monkeypatch):
-    """Make every argparse parse raise ReachedArgparse."""
-    cli._build_parser()  # declared before parsing is refused
+    """Make every call that would build the argparse parsers raise ReachedArgparse."""
 
-    def refuse(*args, **kwargs):
+    def refuse():
         raise ReachedArgparse
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
 
 
 #: The call shapes of the README and of the benchmark's ``dist`` ops.
@@ -820,7 +868,7 @@ FALLBACK_ARGVS = [
 
 
 class TestPlainPath:
-    """Plain ``--flag value`` calls run without argparse; every other call reaches it."""
+    """Plain ``--flag value`` calls build no argparse parser; every other call builds them."""
 
     @pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
     def test_plain_calls_parse_without_argparse(self, capsys, argparse_refused, argv):
@@ -831,6 +879,91 @@ class TestPlainPath:
     def test_every_other_call_reaches_argparse(self, argparse_refused, argv):
         with pytest.raises(ReachedArgparse):
             main(argv)
+
+
+#: Each subcommand's help text, handler and actions: option strings, dest,
+#: type, choices, default, required and help, as the parsers read them before
+#: the grammar became a table.
+GRAMMAR = {
+    "dist": (
+        "distance between two preference orderings over one universe",
+        cli._cmd_dist,
+        [
+            (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
+             "show this help message and exit"),
+            (["--objects"], "objects", None, None, None, True, "comma-separated object labels"),
+            (["--pref1"], "pref1", None, None, None, True, 'e.g. "C > A" or "B > (A = C)"'),
+            (["--pref2"], "pref2", None, None, None, True, None),
+            (["--method"], "method", None, ["bfm", "direct", "indirect-j", "indirect-bi"],
+             "direct", False,
+             "bfm = exhaustive completion pairs; direct = mass-grid distance; "
+             "indirect-* = score-alike matrices (default: direct)"),
+            (["--conv"], "conv", None, ["signed", "unit"], None, False,
+             "bfm only: score-matrix convention for raw and max (default signed; "
+             "the normalized value is identical)"),
+            (["--attitude"], "attitude", None, ["all", "optim", "pessim", "aver", "hurwicz"],
+             None, False, "bfm only: which scalar to headline (default all, headlining aver)"),
+            (["--alpha"], "alpha", float, None, None, False, "Hurwicz weight on the minimum"),
+            (["--cap"], "cap", int, None, None, False, "enumeration cap override"),
+            (["--format"], "format", None, ["json", "table"], "json", False, None),
+        ],
+    ),
+    "dist-general": (
+        "direct distance between two BBA-matrix JSON files",
+        cli._cmd_dist_general,
+        [
+            (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
+             "show this help message and exit"),
+            ([], "bba1", None, None, None, True, "path to the first matrix"),
+            ([], "bba2", None, None, None, True, "path to the second matrix"),
+            (["--format"], "format", None, ["json", "table"], "json", False, None),
+        ],
+    ),
+    "enumerate": (
+        "list every weak order of n objects",
+        cli._cmd_enumerate,
+        [
+            (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
+             "show this help message and exit"),
+            (["--n"], "n", int, None, None, False, "number of objects"),
+            (["--objects"], "objects", None, None, None, False, "labels to render with"),
+            (["--cap"], "cap", int, None, None, False, None),
+        ],
+    ),
+    "compatible": (
+        "list the total orders compatible with a partial one",
+        cli._cmd_compatible,
+        [
+            (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False,
+             "show this help message and exit"),
+            (["--objects"], "objects", None, None, None, True, None),
+            (["--pref"], "pref", None, None, None, True, None),
+            (["--cap"], "cap", int, None, None, False, None),
+        ],
+    ),
+}
+
+
+class TestGrammar:
+    def test_the_parsers_built_from_the_table_hold_the_pinned_grammar(self):
+        parser, commands = cli._build_parser()
+        (subparsers,) = [action for action in parser._actions if action.dest == "command"]
+        helps = {action.dest: action.help for action in subparsers._choices_actions}
+        built = {
+            name: (
+                helps[name],
+                sub.get_default("handler"),
+                [
+                    (action.option_strings, action.dest, action.type, action.choices,
+                     action.default, action.required, action.help)
+                    for action in sub._actions
+                ],
+            )
+            for name, sub in commands.items()
+        }
+        assert list(built) == list(GRAMMAR)
+        for name, expected in GRAMMAR.items():
+            assert built[name] == expected, name
 
 
 class TestPreferenceTextFuzz:
