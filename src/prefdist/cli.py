@@ -20,6 +20,9 @@ paths, a first word that is no subcommand) goes to the argparse parsers that
 ``_build_parser`` builds from the same rows, which keep their own messages and
 exit codes.
 
+``_emit`` writes every reply itself, as the text that ``json.dumps`` would
+write, so only ``dist-general`` loads ``json``, through its mass-grid loader.
+
 The handlers import ``bfm``, ``enumeration`` and the mass-grid loader when
 they run: those need numpy, and a ``dist`` call with a belief method, which
 needs none, then never loads it.
@@ -28,7 +31,6 @@ needs none, then never loads it.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -65,9 +67,13 @@ EXIT_CAP = 3
 
 _METRICS = {name: metric for metric, name in _METRIC_METHOD_NAME.items()}
 
-# What follows a grid cell, a grid row and the last row, after "[[" or "grid:\n  "
-_JSON_SEPS = (", ", "], [", "]]")
-_TABLE_SEPS = ("  ", "\n  ", "\n")
+# Per format: what opens and closes a reply, quotes a string, parts two values
+# and encloses a list; what follows "grid:"; and what follows a grid cell, a
+# grid row and the last row
+_FORMATS = {
+    "json": ("{", "}\n", '"', ", ", ("[", "]"), " [[", (", ", "], [", "]]")),
+    "table": ("", "\n", "", "\n", ("", ""), "\n  ", ("  ", "\n  ", "")),
+}
 
 
 class _UsageError(PrefdistError):
@@ -108,33 +114,42 @@ def _effective_cap(flag: int | None) -> int | None:
 
 
 def _emit(payload: dict[str, Any], fmt: str, report: BfmReport | None = None) -> None:
-    """Print ``payload`` as one JSON object or as a table; a bfm reply's grid,
-    at its "grid" key, is written from ``report`` in blocks of rows."""
+    """Write ``payload`` as one JSON object on a line or as ``key: value``
+    lines; a bfm reply's grid, at its "grid" key, is written from ``report`` in
+    blocks of rows.
+
+    A value is a string, a finite float, an int, or a list of strings or of
+    ints, and the JSON is the text that ``json.dumps`` writes: a string is
+    quoted as it stands (labels, method names and rendered orders hold no
+    character that JSON escapes), a float is written by ``float.__repr__``
+    (also for a numpy float64) and an int by ``int.__repr__``.
+    """
     write = sys.stdout.write
-    if report is not None:
-        from .bfm import grid_text
-    if fmt == "json":
-        if report is None:
-            print(json.dumps(payload))
-            return
-        keys = list(payload)  # a bfm reply has keys before and after its grid
-        at = keys.index("grid")
-        write(json.dumps({key: payload[key] for key in keys[:at]})[:-1] + ', "grid": [[')
-        for text in grid_text(report, _JSON_SEPS):
-            write(text)
-        write(", " + json.dumps({key: payload[key] for key in keys[at + 1 :]})[1:] + "\n")
-        return
+    opening, closing, quote, sep, bracket, grid_head, grid_seps = _FORMATS[fmt]
+    text, between = opening, ""
     for key, value in payload.items():
+        text += between + quote + key + quote + ":"
+        between = sep
         if key == "grid":
-            write("grid:\n  ")
-            for text in grid_text(report, _TABLE_SEPS):
-                write(text)
+            from .bfm import grid_text
+
+            write(text + grid_head)
+            for block in grid_text(report, grid_seps):
+                write(block)
+            text = ""
+            continue
+        if isinstance(value, str):
+            value = quote + value + quote
         elif isinstance(value, float):
-            print(f"{key}: {value!r}")
-        elif isinstance(value, list):
-            print(f"{key}: " + ", ".join(str(v) for v in value))
+            value = float.__repr__(value)
+        elif isinstance(value, int):
+            value = int.__repr__(value)
+        elif value and isinstance(value[0], str):
+            value = bracket[0] + quote + (quote + ", " + quote).join(value) + quote + bracket[1]
         else:
-            print(f"{key}: {value}")
+            value = bracket[0] + ", ".join(map(int.__repr__, value)) + bracket[1]
+        text += " " + value
+    write(text + closing)
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:

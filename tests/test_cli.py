@@ -39,7 +39,9 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"  # the CLI's own writer, byte for byte
+    return payload
 
 
 class TestDist:
@@ -641,13 +643,17 @@ assert "numpy" in sys.modules
 
 class TestPlainCallsLoadNoArgparse:
     """A plain call reads the grammar's table and builds no argparse parser, so
-    neither argparse nor the gettext it imports is loaded; help and
-    ``dist-general`` build the parsers."""
+    neither argparse nor the gettext it imports is loaded, and it writes its
+    reply itself, so no json module is loaded either; help builds the parsers,
+    and ``dist-general`` builds them and reads its files with json."""
+
+    JSON = ["json", "json.decoder", "json.scanner", "json.encoder", "_json"]
 
     SCRIPT = """
 import contextlib, io, sys
 import prefdist.cli as cli
-control, unneeded = sys.argv[1].split("|"), set(sys.argv[2:])
+control, needed = sys.argv[1].split("|"), sys.argv[2].split(",")
+unneeded = set(sys.argv[3:])
 for argv in (
     ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "direct"],
     ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B", "--method", "indirect-j"],
@@ -665,11 +671,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 assert code == 0, code
-assert "argparse" in sys.modules
+missing = set(needed) - set(sys.modules)
+assert not missing, sorted(missing)
 """
 
-    @pytest.mark.parametrize("control", ["dist|--help", "dist-general|{0}|{0}"])
-    def test_plain_calls_then_help_or_dist_general(self, tmp_path, control):
+    @pytest.mark.parametrize(
+        "control,needed",
+        [("dist|--help", "argparse"), ("dist-general|{0}|{0}", "argparse,json")],
+    )
+    def test_plain_calls_then_help_or_dist_general(self, tmp_path, control, needed):
         grid = tmp_path / "grid.json"
         grid.write_text('{"n": 2, "cells": [[{"2": 1}, {"1": 1}], [{"1|2|3": 1}, {"2": 1}]]}')
         # what a bare interpreter loads in this environment is not the plain path's doing
@@ -677,9 +687,9 @@ assert "argparse" in sys.modules
             [sys.executable, "-c", "import sys; print(*sys.modules)"],
             capture_output=True, text=True, env=fresh_env(), check=True,
         )
-        unneeded = sorted({"argparse", "gettext"} - set(bare.stdout.split()))
+        unneeded = sorted({"argparse", "gettext", *self.JSON} - set(bare.stdout.split()))
         done = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, control.format(grid), *unneeded],
+            [sys.executable, "-c", self.SCRIPT, control.format(grid), needed, *unneeded],
             capture_output=True, text=True, env=fresh_env(),
         )
         assert done.returncode == 0, done.stderr

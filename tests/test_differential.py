@@ -27,6 +27,8 @@ import json
 import math
 import os
 import re
+import string
+import tempfile
 import tracemalloc
 from typing import Iterator, Sequence
 from unittest import mock
@@ -503,18 +505,21 @@ def cli_stdout(argv):
     return out.getvalue()
 
 
-def assert_bfm_stdout_matches_reference(a, b, convention, fmt):
-    universe = ObjectUniverse(tuple("ABCDEFG"[: a.universe_size]))
-    argv = [
-        "dist", "--method", "bfm", "--objects", ",".join(universe.labels),
-        "--pref1", render_preference(a, universe), "--pref2", render_preference(b, universe),
-        "--conv", convention.value, "--format", fmt,
-    ]
+def assert_stdout_matches_reference(argv):
     with mock.patch.object(cli, "_emit", reference_emit):
         expected = cli_stdout(argv)
     actual = cli_stdout(argv)
     same = actual == expected  # a bare assert would diff megabytes of text
     assert same, (argv, len(os.path.commonprefix([actual, expected])))
+
+
+def assert_bfm_stdout_matches_reference(a, b, convention, fmt):
+    universe = ObjectUniverse(tuple("ABCDEFG"[: a.universe_size]))
+    assert_stdout_matches_reference([
+        "dist", "--method", "bfm", "--objects", ",".join(universe.labels),
+        "--pref1", render_preference(a, universe), "--pref2", render_preference(b, universe),
+        "--conv", convention.value, "--format", fmt,
+    ])
 
 
 def assert_completions_match_reference(order):
@@ -1016,7 +1021,7 @@ def writer_report(squared):
 @pytest.mark.parametrize("name", list(WRITER_GRIDS))
 def test_grid_writer_shapes_and_gate_sides(name, sep):
     """On every type that k can have: the writer looks codes up by k."""
-    seps = {", ": cli._JSON_SEPS, "  ": cli._TABLE_SEPS}[sep]
+    seps = {", ": cli._FORMATS["json"][-1], "  ": cli._FORMATS["table"][-1]}[sep]
     for dtype in (np.uint8, np.uint16, np.uint32):
         squared = np.array(WRITER_GRIDS[name], dtype=dtype)
         m = len(np.unique(squared))
@@ -1172,6 +1177,16 @@ class TestClassicalDistance:
                 normalized_distance(a, b)
 
 
+# Object labels from the whole grammar [A-Za-z0-9_]+: digits only, "_", mixed
+# case, and names that JSON spells as constants or numbers.  A reply quotes a
+# label as it stands, which holds while no label needs escaping.
+GRAMMAR_LABELS = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "true", "false", "null", "_", "0", "1e5", "x_1"]),
+    st.text(string.digits, min_size=1, max_size=4),
+    st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=6),
+)
+
+
 class TestCliOutput:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("convention", list(PsmConvention))
@@ -1188,6 +1203,34 @@ class TestCliOutput:
     )
     def test_random_pairs_up_to_five_objects(self, pair, convention, fmt):
         assert_bfm_stdout_matches_reference(*pair, convention, fmt)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        data=st.data(),
+        method=st.sampled_from(["direct", "indirect-j", "indirect-bi"]),
+        fmt=st.sampled_from(["json", "table"]),
+    )
+    def test_belief_replies_over_grammar_labels(self, data, method, fmt):
+        a, b = data.draw(order_pairs(max_n=6).filter(lambda pair: all(map(classes, pair))))
+        n = a.universe_size
+        labels = data.draw(st.lists(GRAMMAR_LABELS, min_size=n, max_size=n, unique=True))
+        universe = ObjectUniverse(tuple(labels))
+        assert_stdout_matches_reference([
+            "dist", "--method", method, "--objects", ",".join(labels),
+            "--pref1", render_preference(a, universe), "--pref2", render_preference(b, universe),
+            "--format", fmt,
+        ])
+
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 4), data=st.data(), fmt=st.sampled_from(["json", "table"]))
+    def test_dist_general_replies(self, n, data, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name in ("bba1.json", "bba2.json"):
+                paths.append(os.path.join(tmp, name))
+                with open(paths[-1], "w") as file:
+                    json.dump(data.draw(bba_documents(n=n, count=st.just(0))), file)
+            assert_stdout_matches_reference(["dist-general", *paths, "--format", fmt])
 
 
 PARSE_LABELS = ("A", "B", "C", "D", "E", "F", "G", "x_1", "Z9")

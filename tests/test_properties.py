@@ -297,6 +297,29 @@ def kendall_tau_b(x, y):
     return float((sx * sy).sum() / np.sqrt((sx * sx).sum() * (sy * sy).sum()))
 
 
+def kendall_tau_b_by_ranks(x, y):
+    """Kendall's tau-b from the table of (rank of x, rank of y) counts, so that
+    no n x n matrix is built: a cell's concordant partners lie above and to
+    the right of it, and the discordant pairs are what remains once the
+    concordant and the tied pairs are counted."""
+    (_, i), (_, j) = (np.unique(v, return_inverse=True) for v in (x, y))
+    table = np.zeros((i.max() + 1, j.max() + 1), dtype=np.int64)
+    np.add.at(table, (i, j), 1)
+    # above[a, b]: values with both ranks at least (a, b)
+    above = np.pad(table[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1], ((0, 1), (0, 1)))
+    concordant = int((table * above[1:, 1:]).sum())
+
+    def pairs(counts):
+        return int((counts * (counts - 1)).sum()) // 2
+
+    n0, tied_x, tied_y = len(x) * (len(x) - 1) // 2, pairs(table.sum(1)), pairs(table.sum(0))
+    discordant = n0 - concordant - tied_x - tied_y + pairs(table)
+    return (concordant - discordant) / math.sqrt((n0 - tied_x) * (n0 - tied_y))
+
+
+ATTITUDES = ("aver", "optim", "pessim")
+
+
 class TestAgreementWithBfmAtThree:
     """How each belief route ranks the 625 pairs of non-empty partial orders of
     three objects against bfm's attitudes (the README's n = 3 rows)."""
@@ -316,9 +339,11 @@ class TestAgreementWithBfmAtThree:
         for name, expected in self.CORRELATIONS.items():
             got = [
                 (spearman(values[name], values[att]), kendall_tau_b(values[name], values[att]))
-                for att in ("aver", "optim", "pessim")
+                for att in ATTITUDES
             ]
             assert np.allclose(got, expected, rtol=0, atol=5e-7), (name, got)
+            by_ranks = [kendall_tau_b_by_ranks(values[name], values[att]) for att in ATTITUDES]
+            assert np.allclose(by_ranks, [tau for _, tau in got], rtol=0, atol=1e-12), name
             d, optim, pessim = (tables[key].ravel() for key in (name, "optim", "pessim"))
             inside = (optim - 1e-12 <= d) & (d <= pessim + 1e-12)
             assert int(inside.sum()) == self.INSIDE[name], name
@@ -326,20 +351,30 @@ class TestAgreementWithBfmAtThree:
 
 class TestAgreementWithBfmAtFour:
     """The README's table over the 22,201 pairs of non-empty partial orders of
-    four objects: each belief route's Spearman with bfm's aver, and how many
-    pairs fall inside [optim, pessim]."""
+    four objects: each belief route's Spearman and Kendall tau-b with bfm's
+    aver, optim and pessim, and how many pairs fall inside [optim, pessim]."""
 
-    SPEARMAN = {"direct": 0.484836, "jousselme": 0.772565, "belief-interval": 0.750169}
+    # per route: (Spearman, Kendall tau-b) with aver, optim and pessim
+    CORRELATIONS = {
+        "direct": ((0.484836, 0.369263), (0.32683, 0.251765), (0.351756, 0.29911)),
+        "jousselme": ((0.772565, 0.592591), (0.871729, 0.721609), (0.141627, 0.10904)),
+        "belief-interval": ((0.750169, 0.564067), (0.912168, 0.775754), (0.068645, 0.054395)),
+    }
     INSIDE = {"direct": 7045, "jousselme": 16701, "belief-interval": 16245}
 
-    def test_spearman_with_aver_and_pairs_inside_optim_and_pessim(self):
+    def test_correlations_and_pairs_inside_optim_and_pessim(self):
         orders, tables = partial_tables(4)
         assert len(orders) == 149
-        aver = np.round(tables["aver"].ravel(), 12)
+        # rounded, so that values equal but for the last bits tie
+        values = {name: np.round(table.ravel(), 12) for name, table in tables.items()}
         optim, pessim = tables["optim"].ravel(), tables["pessim"].ravel()
-        for name, expected in self.SPEARMAN.items():
+        for name, expected in self.CORRELATIONS.items():
+            got = [
+                (spearman(x, y), kendall_tau_b_by_ranks(x, y))
+                for x, y in ((values[name], values[att]) for att in ATTITUDES)
+            ]
+            assert np.allclose(got, expected, rtol=0, atol=5e-7), (name, got)
             d = tables[name].ravel()
-            assert spearman(np.round(d, 12), aver) == pytest.approx(expected, abs=5e-7), name
             inside = (optim - 1e-12 <= d) & (d <= pessim + 1e-12)
             assert int(inside.sum()) == self.INSIDE[name], name
         # without the slack, direct often falls just outside, at an end up to rounding
