@@ -10,9 +10,10 @@ The PREFDIST_CAP environment variable overrides the default cap; an explicit
 
 The grammar is one table, ``_COMMANDS``: each subcommand's help text, handler
 and ``(name, add_argument keywords)`` rows.  A plain call, the subcommand then
-only ``--flag value`` pairs, is read straight from its rows (``_plain_args``):
-each flag is spelled in full, no value starts with ``-``, each value converts
-and passes its choices, and every required argument is given.  Such a call
+only ``--flag value`` pairs, is read straight from its rows (``_plain_args``,
+which indexes a subcommand's rows on its first plain call): each flag is
+spelled in full, no value starts with ``-``, each value converts and passes
+its choices, and every required argument is given.  Such a call
 imports no argparse and builds no parser, which would cost more than parsing
 both orders.  Any other call (help, ``--flag=value``, an abbreviation, a value
 such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s file
@@ -351,23 +352,38 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _plain_grammar(
+    command: str,
+) -> tuple[dict[str, dict[str, Any]], dict[str, Any], list[str]] | None:
+    """``command``'s rows by flag, its defaults by dest and its required flags;
+    None for a command with positional arguments, which is never plain."""
+    rows = _COMMANDS[command][2]
+    options = {name: keywords for name, keywords in rows if name.startswith("--")}
+    if len(options) < len(rows):
+        return None
+    # by dest, as no flag holds a "-" past its "--"; argparse would convert a
+    # string default by its type, and no row has both
+    defaults = {name[2:]: keywords.get("default") for name, keywords in rows}
+    return options, defaults, [name for name, keywords in rows if keywords.get("required")]
+
+
 def _plain_args(command: str, words: list[str]) -> SimpleNamespace | None:
     """The namespace that ``command``'s parser makes of ``words`` if they are
     ``--flag value`` pairs it reads as they stand, every required argument among
     them; else None.
 
     Each value is converted and checked as argparse does, and the last of a
-    repeated flag wins.  A command with positional arguments is never plain.
-    Rows are read for ``required``, ``default``, ``type`` and ``choices`` only:
-    every flag takes one value.
+    repeated flag wins.  Rows are read for ``required``, ``default``, ``type``
+    and ``choices`` only, once per command (``_plain_grammar``): every flag
+    takes one value.  The handler is read from ``_COMMANDS`` on every call, so
+    a handler swapped into the table is the one the namespace carries.
     """
-    _, handler, rows = _COMMANDS[command]
-    options = {name: keywords for name, keywords in rows if name.startswith("--")}
-    if len(words) % 2 or len(options) < len(rows):
+    grammar = _plain_grammar(command)
+    if grammar is None or len(words) % 2:
         return None
-    # by dest, as no flag holds a "-" past its "--"; argparse would convert a
-    # string default by its type, and no row has both
-    values = {name[2:]: keywords.get("default") for name, keywords in rows}
+    options, defaults, required = grammar
+    values = dict(defaults)
     given = set()
     for flag, text in zip(words[::2], words[1::2]):
         keywords = options.get(flag)
@@ -383,9 +399,9 @@ def _plain_args(command: str, words: list[str]) -> SimpleNamespace | None:
             return None
         values[flag[2:]] = value
         given.add(flag)
-    if any(keywords.get("required") and flag not in given for flag, keywords in rows):
+    if not given.issuperset(required):
         return None
-    return SimpleNamespace(**values, handler=handler)
+    return SimpleNamespace(**values, handler=_COMMANDS[command][1])
 
 
 def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import Counter
 from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
@@ -77,6 +76,19 @@ _INDIRECT_COST = {metric: _cost(score) for metric, score in _INDIRECT_SCORE.item
 _COST = {convention: _cost(score) for convention, score in _SCORE.items()}
 
 
+def _tied_pairs(ordered: list[int]) -> int:
+    """Pairs of equal items in the sorted list ``ordered``: a run of c equal
+    items holds c(c - 1)/2, and each item pairs with those before it in its run."""
+    pairs = run = 0
+    for x, y in zip(ordered, ordered[1:]):
+        if x == y:
+            run += 1
+            pairs += run
+        else:
+            run = 0
+    return pairs
+
+
 def _category_counts(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """4 x 4 table whose cell (a, b) counts the cells (i, j) of the N x N grid,
     diagonal included, that rank vector ``r1`` codes a and ``r2`` codes b.
@@ -89,23 +101,33 @@ def _category_counts(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[tuple[in
     order-1 rank, then order-2 rank, and each object's order-2 rank checked
     against the sorted ranks of the objects before it.  The sort takes
     O(N log N) time, memory is O(N), and the insertions move at most N
-    pointers each.  The tie counts are class sizes.
+    pointers each.  The tie counts are run lengths: the loop reads the pairs of
+    B tied in order 1, and those tied in both, from the runs of the sorted
+    keys; :func:`_tied_pairs` reads the pairs of B tied in order 2 from the
+    runs of the ranks the loop has sorted, and each order's ties from its
+    sorted mentioned ranks.
     """
     n = len(r1)
-    ranks1 = [a for a in r1 if a >= 0]
-    ranks2 = [b for b in r2 if b >= 0]
+    ranks1 = sorted(r1)[r1.count(-1) :]
+    ranks2 = sorted(r2)[r2.count(-1) :]
     keys = sorted(a * (n + 1) + b for a, b in zip(r1, r2) if a >= 0 and b >= 0)
     seen: list[int] = []  # the order-2 ranks of the objects before, sorted
-    discordant = 0
+    discordant = tied1_b = tied_both = 0
+    # where the current runs of equal keys and of equal order-1 ranks start, and
+    # the value each run holds (for the second, key - b: the rank times N + 1)
+    key_start = row_start = 0
+    key_before = row_before = -1
     for i, key in enumerate(keys):
         b = key % (n + 1)
+        if key != key_before:
+            key_start, key_before = i, key
+            if key - b != row_before:
+                row_start, row_before = i, key - b
+        tied_both += i - key_start
+        tied1_b += i - row_start
         discordant += i - bisect_right(seen, b)
         insort(seen, b)
-    # pairs tied within each mentioned set, within B in each order, and in both
-    tied1, tied2, tied1_b, tied2_b, tied_both = (
-        sum(c * (c - 1) for c in Counter(ranks).values()) // 2
-        for ranks in (ranks1, ranks2, [key // (n + 1) for key in keys], seen, keys)
-    )
+    tied1, tied2, tied2_b = _tied_pairs(ranks1), _tied_pairs(ranks2), _tied_pairs(seen)
     m1, m2, m = len(ranks1), len(ranks2), len(keys)
     pairs_b = m * (m - 1) // 2
     concordant = pairs_b - tied1_b - tied2_b + tied_both - discordant

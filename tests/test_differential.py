@@ -30,6 +30,7 @@ import re
 import string
 import tempfile
 import tracemalloc
+from collections import Counter
 from typing import Iterator, Sequence
 from unittest import mock
 
@@ -80,6 +81,7 @@ from prefdist.psm import (
     _INDIRECT_SCORE,
     _SCORE,
     _category_counts,
+    _tied_pairs,
 )
 
 from strategies import (
@@ -773,6 +775,14 @@ class TestCategoryCounts:
         for a, b in itertools.product(orders, repeat=2):
             assert_kernel_is_the_bincount_oracle(a, b)
 
+    def test_every_pair_of_orders_of_four_objects(self):
+        """All 150 orders of 4 objects, the empty one among them, against each
+        other: every shape of tie runs that four objects can take."""
+        orders = all_partial_orders(4)
+        assert len(orders) == 150
+        for a, b in itertools.product(orders, repeat=2):
+            assert_kernel_is_the_bincount_oracle(a, b)
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_exact_at_two_thousand_objects(self, seed):
         """One pair per seed, read by every method (direct and indirect-j among them)."""
@@ -804,6 +814,17 @@ class TestCategoryCounts:
                 assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
         finally:
             tracemalloc.stop()
+
+
+# runs of lengths 1, 2, 3, 1, 2, 3; its prefixes end in every position of a run
+RUNS = [0, 1, 1, 2, 2, 2, 3, 4, 4, 5, 5, 5]
+
+
+@pytest.mark.parametrize(
+    "ordered", [[], [7], [4] * 9] + [RUNS[:k] for k in range(2, len(RUNS) + 1)]
+)
+def test_tied_pairs_are_the_class_size_count(ordered):
+    assert _tied_pairs(ordered) == sum(c * (c - 1) // 2 for c in Counter(ordered).values())
 
 
 class TestDistances:
