@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -144,6 +144,33 @@ def bfm_distance(
     )
 
 
+def _cell_codes(
+    maximum: float, present: NDArray[np.intp]
+) -> tuple[list[str], NDArray[np.unsignedinteger]]:
+    """The text of each k in ``present`` (code 0: no cell), and the code of
+    each k, 1..m, in the smallest unsigned type that holds every pair key."""
+    roots = np.sqrt(present.astype(np.float64)) / maximum
+    texts = [""] + [repr(v) for v in roots.tolist()]
+    base = len(texts)
+    codes = np.zeros(present[-1] + 1, dtype=np.min_scalar_type(3 * base * base - 1))
+    codes[present] = np.arange(1, base)
+    return texts, codes
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_table(
+    maximum: float, seps: tuple[str, str, str], present: tuple[int, ...]
+) -> tuple[list[str], list[str], NDArray[np.unsignedinteger], NDArray[Any], NDArray[np.bool_]]:
+    """The pair writer's state for one (maximum, separators, present k): cell
+    texts, second-cell tails, codes, and the table of 3(m+1)^2 pair-key texts
+    with its mask of keys rendered so far.  Replies sharing a key fill one
+    table; the cache keeps at most 16, each the size one reply needs."""
+    texts, codes = _cell_codes(maximum, np.array(present, dtype=np.intp))
+    tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
+    size = 3 * len(texts) ** 2
+    return texts, tails, codes, np.empty(size, dtype=object), np.zeros(size, dtype=bool)
+
+
 def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
     """The text of the normalized grid of ``report``, in blocks of whole rows:
     as many rows as fit in _BLOCK_CELLS cells, and at least one.  Cells are
@@ -156,29 +183,27 @@ def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
     k, is joined row by row.  A larger one is read two adjacent cells at a
     time (an odd last column alone): a slot's key, in the smallest unsigned
     type that holds them all, gives its cells' codes 1..m (0: no second cell)
-    and the separator after it.  A table keeps the text of each key met so
-    far, so a block is one lookup and one join.
+    and the separator after it.  A table, kept across replies by
+    :func:`_pair_table`, holds the text of each key met so far, so a block is
+    one lookup and one join.
     """
     squared = report.squared
     present = np.flatnonzero(report.counts)
     m = len(present)
-    roots = np.sqrt(present.astype(np.float64)) / report.maximum
-    texts = [""] + [repr(v) for v in roots.tolist()]  # by code; code 0 is no cell
     rows, cols = squared.shape
     step = max(1, _BLOCK_CELLS // cols)
-    base = m + 1
-    span = base * base  # keys followed by one separator
-    codes = np.zeros(present[-1] + 1, dtype=np.min_scalar_type(3 * span - 1))
-    codes[present] = np.arange(1, base)
     if squared.size <= 2 * m * m:
+        texts, codes = _cell_codes(report.maximum, present)
         cells = np.array(texts, dtype=object)
         for start in range(0, rows, step):
             block = cells.take(codes.take(squared[start : start + step])).tolist()
             yield seps[1].join(map(seps[0].join, block)) + seps[2 if start + step >= rows else 1]
         return
-    tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
-    table = np.empty(3 * span, dtype=object)
-    rendered = np.zeros(3 * span, dtype=bool)
+    texts, tails, codes, table, rendered = _pair_table(
+        report.maximum, seps, tuple(present.tolist())
+    )
+    base = m + 1
+    span = base * base  # keys followed by one separator
     for start in range(0, rows, step):
         # take copies the block's index to intp: fast and small
         keys = codes.take(squared[start : start + step])
@@ -188,12 +213,13 @@ def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
         if start + step >= rows:
             keys[-1, -1] += span
         keys = keys.ravel()
-        new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
-        rendered[new] = True
-        after, key = np.divmod(new, span)
-        first, second = np.divmod(key, base)
-        table[new] = [
-            texts[i] + tails[j] + seps[k]
-            for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
-        ]
+        if not rendered.take(keys).all():
+            new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
+            after, key = np.divmod(new, span)
+            first, second = np.divmod(key, base)
+            table[new] = [
+                texts[i] + tails[j] + seps[k]
+                for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
+            ]
+            rendered[new] = True  # after the texts: no reply, cut short or in a thread, reads None
         yield "".join(table.take(keys).tolist())

@@ -99,9 +99,10 @@ def _category_counts(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[tuple[in
     pairs tied in both; and the discordant pairs, strict in both orders and in
     opposite directions.  Knight's sort-and-count gives the last: B sorted by
     order-1 rank, then order-2 rank, and each object's order-2 rank checked
-    against the sorted ranks of the objects before it.  The sort takes
-    O(N log N) time, memory is O(N), and the insertions move at most N
-    pointers each.  The tie counts are run lengths: the loop reads the pairs of
+    against the sorted ranks of the objects before it.  The sorts take
+    O(N log N) time and memory is O(N), but each insertion shifts up to N
+    pointers, so the worst case (a chain against its reversal) is quadratic
+    time.  The tie counts are run lengths: the loop reads the pairs of
     B tied in order 1, and those tied in both, from the runs of the sorted
     keys; :func:`_tied_pairs` reads the pairs of B tied in order 2 from the
     runs of the ranks the loop has sorted, and each order's ties from its

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefdist
-from prefdist import ObjectUniverse, WeakOrder, cli, render_preference
+from prefdist import ObjectUniverse, WeakOrder, bfm, cli, render_preference
 from prefdist.cli import main
 
 from strategies import all_weak_orders, preference_texts
@@ -28,6 +29,13 @@ def fresh_env():
     src = str(Path(prefdist.__file__).resolve().parents[1])
     path_entries = [src, os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_entries))}
+
+
+class Discard(io.TextIOBase):
+    """A stdout that keeps nothing, for replies too large to hold."""
+
+    def write(self, text):
+        return len(text)
 
 
 def run(capsys, *argv):
@@ -160,24 +168,66 @@ class TestDist:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_bfm_reply_holds_no_grid_sized_temporary(self, fmt):
         """A 4683 x 541 grid is 2.5 MB as uint8 and 20 MB as an intp copy; the
-        histogram and the writer read it in blocks of rows."""
-
-        class Discard(io.TextIOBase):
-            def write(self, text):
-                return len(text)
-
+        histogram and the writer read it in blocks of rows.  The bound holds
+        with the writer's table built (cold) and read from its cache (warm)."""
         argv = [
             "dist", "--method", "bfm", "--objects", "a,b,c,d,e,f",
             "--pref1", "a", "--pref2", "(a=b)", "--format", fmt,
         ]
+        bfm._pair_table.cache_clear()
+        for _ in ("cold", "warm"):
+            with contextlib.redirect_stdout(Discard()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < 20 * 2**20, peak
+        assert bfm._pair_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_writer_cache_after_a_reply_at_the_grid_cell_limit_is_small(self):
+        """The 4683 x 4683 grid's table has 3 * 62^2 slots, at most one string
+        each: what the cache keeps after the reply is under 2 MB (0.4 MB here)."""
+        argv = [
+            "dist", "--method", "bfm", "--objects", "a,b,c,d,e,f",
+            "--pref1", "a", "--pref2", "b",
+        ]
+        bfm._pair_table.cache_clear()
         with contextlib.redirect_stdout(Discard()):
             tracemalloc.start()
             try:
                 assert main(argv) == 0
-                peak = tracemalloc.get_traced_memory()[1]
+                held = tracemalloc.get_traced_memory()[0]
+                assert bfm._pair_table.cache_info().currsize == 1
+                bfm._pair_table.cache_clear()
+                held -= tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-        assert peak < 20 * 2**20, peak
+        assert 0 < held < 2 * 2**20, held
+
+    @pytest.mark.parametrize("fmts", [("json", "table", "json"), ("table", "json", "table")])
+    def test_grid_text_keeps_its_sha256_pins_cold_and_warm(self, fmts):
+        """The 541 x 541 grid, written again in one process once the writer's
+        table for its format is cached, keeps the sha256 that CI pins."""
+        pins = {
+            "json": ('"grid": ', ', "optim"', "fd7ad74903dfe12026ff43d8630ef2dc"
+                     "b9e78f7c8e4c2c3099a1e840544411b3"),
+            "table": ("grid:", "optim:", "48118d2d9b08862995fb40c995cd4582"
+                      "e19d934dcc9fb17744d52c8c9ad27b2f"),
+        }
+        argv = ["dist", "--method", "bfm", "--objects", "o0,o1,o2,o3,o4", "--pref1", "o0",
+                "--pref2", "o1", "--format"]
+        bfm._pair_table.cache_clear()
+        for fmt in fmts:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + [fmt]) == 0
+            text = out.getvalue()
+            start, end, pin = pins[fmt]
+            grid = text[text.index(start) : text.index(end)]
+            assert hashlib.sha256(grid.encode()).hexdigest() == pin, fmt
+        assert bfm._pair_table.cache_info()[:2] == (1, 2)  # (hits, misses)
 
     def test_unknown_object_exits_2_naming_the_field(self, capsys):
         code, _, err = run(

@@ -28,7 +28,9 @@ import math
 import os
 import re
 import string
+import sys
 import tempfile
+import threading
 import tracemalloc
 from collections import Counter
 from typing import Iterator, Sequence
@@ -1031,11 +1033,11 @@ WRITER_GRIDS = {
 }
 
 
-def writer_report(squared):
-    """A report on the grid ``squared`` of three objects, holding its histogram
+def writer_report(squared, n=3):
+    """A report on the grid ``squared`` of n objects, holding its histogram
     and maximum; the grid writer reads nothing else of it."""
     counts = np.bincount(squared.ravel())
-    return bfm.BfmReport(squared, counts, max_psm_distance(3), 0.0, 0.0, 0.0, 0.0, 0.5)
+    return bfm.BfmReport(squared, counts, max_psm_distance(n), 0.0, 0.0, 0.0, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("sep", [", ", "  "])  # a JSON and a table cell separator
@@ -1092,6 +1094,103 @@ def test_bfm_stdout_is_the_reference_at_every_block_size(text1, text2, in_pairs,
         m = np.count_nonzero(report.counts)
         assert (report.squared.size > 2 * m * m) == in_pairs
         assert_bfm_stdout_matches_reference(a, b, PsmConvention.SIGNED, fmt)
+
+
+def cached_writer_calls():
+    """Grids read in pairs at n = 3, 4 and 5, each written in both formats:
+    three sets of present k per n, two grids per set (one with an odd number
+    of columns, one of two blocks), so calls share a table key yet meet new
+    pair keys.  The 18 keys outnumber the cache's 16 entries."""
+    rng = np.random.default_rng(31)
+    calls = []
+    for n in (3, 4, 5):
+        evens = np.arange(0, 4 * n * (n - 1) + 1, 2)
+        for m in (1, 3, 6):
+            present = np.sort(rng.choice(evens, m, replace=False))
+            for shape in ((9, 13), (170, 100)):
+                squared = rng.choice(present, shape).astype(np.uint8)
+                squared.flat[:m] = present  # every k of the set is present
+                for fmt in ("json", "table"):
+                    calls.append((squared, n, cli._FORMATS[fmt][-1]))
+    return calls
+
+
+def test_cached_pair_table_interleaved_is_the_reference():
+    """From a cleared cache, calls on other formats, maxima and present sets
+    in between, every grid is the reference text on both of its calls, with
+    its table new, cached or rebuilt after an eviction."""
+    calls = cached_writer_calls()
+    order = np.random.default_rng(32).permutation(2 * len(calls)) % len(calls)
+    bfm._pair_table.cache_clear()
+    for index in order.tolist():
+        squared, n, seps = calls[index]
+        text = "".join(bfm.grid_text(writer_report(squared, n), seps))
+        expected = reference_grid_text(squared, n, seps)
+        same = text == expected  # a bare assert would diff the whole text
+        assert same, (index, len(os.path.commonprefix([text, expected])))
+    info = bfm._pair_table.cache_info()
+    assert info.hits > 0 and info.misses > 18 and info.currsize == 16, info
+
+
+def test_cached_pair_table_after_a_closed_reply_is_the_reference():
+    """A reply closed after its first block leaves the keys of later blocks
+    unrendered; the next reply on the same key renders them, and two replies
+    read alternately share the table."""
+    first, rest = [[0, 8] * 4] * 5, [[16, 24] * 4] * 5  # 10 x 8, m = 4: in pairs
+    squared = np.array(first + rest, dtype=np.uint8)
+    other = np.array(rest[:3] + first, dtype=np.uint8)
+    seps = cli._FORMATS["json"][-1]
+    bfm._pair_table.cache_clear()
+    with mock.patch.object(bfm, "_BLOCK_CELLS", 8):  # one row per block
+        closed = bfm.grid_text(writer_report(squared), seps)
+        next(closed)
+        closed.close()
+        *_, table, rendered = bfm._pair_table(max_psm_distance(3), seps, (0, 8, 16, 24))
+        assert 0 < rendered.sum() < len(rendered)
+        assert all(isinstance(text, str) for text in table[rendered])
+        assert "".join(bfm.grid_text(writer_report(squared), seps)) == reference_grid_text(
+            squared, 3, seps
+        )
+        bfm._pair_table.cache_clear()
+        replies = [bfm.grid_text(writer_report(grid), seps) for grid in (squared, other)]
+        blocks = itertools.zip_longest(*replies, fillvalue="")
+        texts = ["".join(parts) for parts in zip(*blocks)]
+    assert texts == [reference_grid_text(grid, 3, seps) for grid in (squared, other)]
+    assert bfm._pair_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_cached_pair_table_shared_by_threads_is_the_reference():
+    """Threads, more than cores, writing grids of one table key with a short
+    switch interval: a slot marked rendered before its text is stored would
+    let another thread join a None."""
+    rng = np.random.default_rng(33)
+    present = np.arange(0, 25, 2)  # every k at n = 3: 13 codes, 588 pair keys
+    grids = [rng.choice(present, (60, 61)).astype(np.uint8) for _ in range(6)]
+    for grid in grids:
+        grid.flat[: len(present)] = present
+    seps = cli._FORMATS["json"][-1]
+    expected = [reference_grid_text(grid, 3, seps) for grid in grids]
+    texts = [[] for _ in grids]
+
+    def write(index):
+        for _ in range(20):
+            bfm._pair_table.cache_clear()
+            texts[index].append("".join(bfm.grid_text(writer_report(grids[index]), seps)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(bfm, "_BLOCK_CELLS", 61):  # one row per block
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(len(grids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [set(replies) for replies in texts] == [{text} for text in expected]
+    assert all(len(replies) == 20 for replies in texts)
 
 
 PAIRS_UP_TO_FOUR = [
