@@ -1,15 +1,18 @@
 """Exhaustive generation of weak orders and of the completions of a partial one.
 
 The number of weak orders of n objects is the n-th ordered Bell (Fubini)
-number: 1, 3, 13, 75, 541, 4683, ...  The completions of a partial order come
-from one rank array, built by inserting each unmentioned object into every
-row; the weak orders of n objects are the completions of the order that
-mentions none of them.  The blowup is guarded by a hard cap; exceeding it
-raises instead of truncating silently.
+number: 1, 3, 13, 75, 541, 4683, ...  The completions of a partial order are
+read from one rank array per order shape (m classes, u unmentioned objects),
+built once per process by inserting each unmentioned object into every row;
+the weak orders of n objects are the completions of the order that mentions
+none of them.  The blowup is guarded by a hard cap; exceeding it raises
+instead of truncating silently.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +26,8 @@ DEFAULT_ENUMERATION_CAP = 8
 
 
 def _completions(fixed: Sequence[int]) -> NDArray[np.signedinteger]:
-    """Every canonical rank vector agreeing with ``fixed``, one per row, sorted.
+    """Every canonical rank vector agreeing with ``fixed``, one per row, in
+    the order the insertions make them (not sorted).
 
     ``fixed`` is a partial order's rank vector (-1 = unmentioned).  Each
     unmentioned object in turn is inserted into every row: a row with k
@@ -41,7 +45,26 @@ def _completions(fixed: Sequence[int]) -> NDArray[np.signedinteger]:
         gap = choice // 2
         ranks += (choice % 2 == 0)[:, None] & (ranks >= gap[:, None])
         ranks[:, obj] = gap
-    return ranks[np.lexsort(ranks.T[::-1])]
+    return ranks
+
+
+@functools.cache
+def _shape_table(m: int, u: int) -> NDArray[np.signedinteger]:
+    """The read-only completions of the shape (m, u): the chain of m singleton
+    classes, columns 0..m-1, followed by u unmentioned objects, in
+    ``_completions``' order.
+
+    Objects tied in a partial order stay tied in every completion, so each of
+    its m classes completes like one object: up to a relabelling of columns,
+    the completions of every order with m classes and u unmentioned objects
+    are this table's rows.  Orders of one shape recur, so the table is built
+    once per process.  ``compatible_tpos`` keeps the tables of width m + u <=
+    DEFAULT_ENUMERATION_CAP, 44 shapes in at most 12,337,512 bytes, and
+    builds a wider one, reached only with a raised cap, on each call.
+    """
+    table = _completions((*range(m), *(-1,) * u))
+    table.flags.writeable = False
+    return table
 
 
 def _check_size(n: int, cap: int | None) -> None:
@@ -72,11 +95,21 @@ def compatible_tpos(ppo: WeakOrder, *, cap: int | None = None) -> NDArray[np.sig
 
     The result is a read-only array with one completion's rank vector per row,
     in lexicographic order, in the smallest signed type holding -1..n-1; its
-    length is the number of completions.  The enumeration generates them
-    directly and builds no incompatible order.  An order mentioning nothing is
-    compatible with every total order; a total order only with itself.
+    length is the number of completions.  The rows are gathered from the
+    table of the order's shape (:func:`_shape_table`): each object reads its
+    class's column, or its own column if unmentioned, and one lexicographic
+    sort orders them.  The enumeration builds no incompatible order.  An order
+    mentioning nothing is compatible with every total order; a total order
+    only with itself.
     """
-    _check_size(ppo.universe_size, cap)
-    ranks = _completions(ppo.rank_tuple)
+    n = ppo.universe_size
+    _check_size(n, cap)
+    fixed = ppo.rank_tuple
+    m, u = max(fixed, default=-1) + 1, fixed.count(-1)
+    table = (_shape_table if m + u <= DEFAULT_ENUMERATION_CAP else _shape_table.__wrapped__)(m, u)
+    free = itertools.count(m)
+    ranks = table.take([rank if rank >= 0 else next(free) for rank in fixed], axis=1)
+    ranks = ranks.astype(np.min_scalar_type(-n), copy=False)
+    ranks = ranks[np.lexsort(ranks.T[::-1])]
     ranks.flags.writeable = False
     return ranks

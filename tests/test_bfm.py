@@ -103,6 +103,7 @@ class TestGrid:
         def generate(fixed):
             raise AssertionError("a completion was generated")
 
+        prefdist.enumeration._shape_table.cache_clear()  # a kept table would skip the generator
         monkeypatch.setattr(prefdist.enumeration, "_completions", generate)
         message = "a 545835 x 545835 completion grid exceeds the limit of 21930489 cells"
         with pytest.raises(CapExceededError, match=f"^{message}$"):

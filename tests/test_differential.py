@@ -75,6 +75,7 @@ from prefdist import (
     render_preference,
 )
 from prefdist import bfm, cli
+from prefdist.enumeration import _shape_table
 from prefdist.model import _LABEL, render_ranks
 from prefdist.psm import (
     _COST,
@@ -876,6 +877,38 @@ class TestBruteForce:
             assert not ranks.flags.writeable, order
             assert ranks.shape == expected.shape, order
             assert ranks.tobytes() == expected.tobytes(), order
+
+    def test_completions_are_the_same_from_a_cold_and_a_warm_shape_table(self):
+        """Each shape's table is built by whichever of its orders comes first;
+        every order, visited forwards and then backwards from an empty cache,
+        gets the recursive generator's rows whether its table was cold or warm."""
+        orders = [order for n in range(1, 6) for order in all_partial_orders(n)]
+        expected = {
+            order: np.array(
+                list(reference_rank_vectors(order.rank_tuple)),
+                dtype=np.min_scalar_type(-order.universe_size),
+            ).reshape(-1, order.universe_size)
+            for order in orders
+        }
+        for visit in (orders, orders[::-1]):
+            _shape_table.cache_clear()
+            for order in visit:
+                ranks = compatible_tpos(order)
+                assert ranks.dtype == expected[order].dtype, order
+                assert not ranks.flags.writeable, order
+                assert ranks.shape == expected[order].shape, order
+                assert ranks.tobytes() == expected[order].tobytes(), order
+            info = _shape_table.cache_info()
+            assert info.misses == 20 and info.hits == len(orders) - 20, info  # w + 1 shapes of width w
+
+    def test_a_wide_universe_reads_a_narrow_table_in_its_own_type(self):
+        """(o0 = ... = o127) > o128 has two classes and nothing unmentioned:
+        its table is int8, its row int16."""
+        order = WeakOrder.from_ranks([0] * 128 + [1])
+        ranks = compatible_tpos(order, cap=129)
+        assert _shape_table(2, 0).dtype == np.int8
+        assert ranks.dtype == np.int16 and not ranks.flags.writeable
+        assert ranks.tolist() == [[0] * 128 + [1]]
 
     def test_the_insertion_oracle_is_the_recursive_generator(self):
         for n in range(1, 6):

@@ -8,7 +8,7 @@ from prefdist import (
     compatible_tpos,
     render_preference,
 )
-from prefdist.enumeration import _completion_count
+from prefdist.enumeration import DEFAULT_ENUMERATION_CAP, _completion_count, _shape_table
 
 from strategies import all_partial_orders, all_weak_orders, ctpos, mentioned, restrict
 
@@ -148,3 +148,25 @@ class TestCompatibleTpos:
     def test_completion_count_matches_the_generated_completions(self, n):
         for order in all_partial_orders(n):
             assert _completion_count(order) == len(compatible_tpos(order)), order
+
+
+class TestShapeTable:
+    """The completions kept per order shape: m classes and u unmentioned objects."""
+
+    def test_the_kept_tables_are_bounded_by_the_default_cap(self):
+        """Every shape of width <= 8 is kept: 44 tables, 12,337,512 bytes.  A
+        wider shape, reached only with a raised cap, is built and not kept."""
+        _shape_table.cache_clear()
+        shapes = [
+            (m, width - m)
+            for width in range(1, DEFAULT_ENUMERATION_CAP + 1)
+            for m in range(width + 1)
+        ]
+        for m, u in shapes:
+            order = WeakOrder.from_ranks([*range(m), *[-1] * u])
+            assert len(compatible_tpos(order)) == _completion_count(order)
+        info = _shape_table.cache_info()
+        assert (info.misses, info.currsize) == (44, 44), info
+        assert sum(_shape_table(m, u).nbytes for m, u in shapes) == 12_337_512
+        assert len(compatible_tpos(WeakOrder((), 9), cap=9)) == ordered_bell(9)
+        assert _shape_table.cache_info().currsize == 44
