@@ -17,9 +17,9 @@ its choices, and every required argument is given.  Such a call
 imports no argparse and builds no parser, which would cost more than parsing
 both orders.  Any other call (help, ``--flag=value``, an abbreviation, a value
 such as ``-A``, a stray word, a missing or bad value, ``dist-general``'s file
-paths, a first word that is no subcommand) goes to the argparse parsers that
-``_build_parser`` builds from the same rows, which keep their own messages and
-exit codes.
+paths, a first word that is no subcommand) goes whole to the one argparse
+parser that ``_build_parser`` builds from the same rows, which keeps its own
+messages and exit codes.
 
 ``_emit`` writes every reply itself, as the text that ``json.dumps`` would
 write, so only ``dist-general`` loads ``json``, through its mass-grid loader.
@@ -60,8 +60,6 @@ from .psm import (
 
 if TYPE_CHECKING:
     import argparse
-
-    from .bfm import BfmReport
 
 EXIT_USAGE = 2
 EXIT_CAP = 3
@@ -114,9 +112,9 @@ def _effective_cap(flag: int | None) -> int | None:
     return cap
 
 
-def _emit(payload: dict[str, Any], fmt: str, report: BfmReport | None = None) -> None:
+def _emit(payload: dict[str, Any], fmt: str) -> None:
     """Write ``payload`` as one JSON object on a line or as ``key: value``
-    lines; a bfm reply's grid, at its "grid" key, is written from ``report`` in
+    lines; a bfm reply's grid, whose report is at its "grid" key, is written in
     blocks of rows.
 
     A value is a string, a finite float, an int, or a list of strings or of
@@ -135,7 +133,7 @@ def _emit(payload: dict[str, Any], fmt: str, report: BfmReport | None = None) ->
             from .bfm import grid_text
 
             write(text + grid_head)
-            for block in grid_text(report, grid_seps):
+            for block in grid_text(value, grid_seps):
                 write(block)
             text = ""
             continue
@@ -191,7 +189,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             raw=headline * maximum,
             max=maximum,
             normalized=headline,
-            grid=report.squared,
+            grid=report,
             optim=report.optim,
             pessim=report.pessim,
             aver=report.aver,
@@ -199,10 +197,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             alpha=report.alpha,
             n_ctpo=list(report.n_ctpo),
         )
-        _emit(payload, args.format, report)
     else:
         payload.update(raw=report.raw, max=report.max, normalized=report.normalized)
-        _emit(payload, args.format)
+    _emit(payload, args.format)
     return 0
 
 
@@ -335,8 +332,8 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommands' parsers, built from ``_COMMANDS``."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with a subcommand parser per row of ``_COMMANDS``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -349,7 +346,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         for name, keywords in rows:
             command_parser.add_argument(name, **keywords)
         command_parser.set_defaults(handler=handler)
-    return parser, sub.choices
+    return parser
 
 
 @functools.cache
@@ -405,20 +402,11 @@ def _plain_args(command: str, words: list[str]) -> SimpleNamespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:
-        args = _plain_args(command, argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args = _plain_args(argv[0], argv[1:])
         if args is not None:
             return args
-    # help, a fault, or a spelling only argparse reads
-    parser, commands = _build_parser()
-    if command is not None:
-        # what the top-level parser does with this argv, without first scanning it all
-        args, extras = commands[command].parse_known_args(argv[1:])
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
-        return args
-    return parser.parse_args(argv)  # no command, help, an unknown command or a leading "--"
+    return _build_parser().parse_args(argv)  # help, a fault, or a spelling only argparse reads
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -430,7 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
     except BrokenPipeError:  # what is left to write, and that last flush, go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,17 +3,16 @@
 The number of weak orders of n objects is the n-th ordered Bell (Fubini)
 number: 1, 3, 13, 75, 541, 4683, ...  The completions of a partial order are
 read from one rank array per order shape (m classes, u unmentioned objects),
-built once per process by inserting each unmentioned object into every row;
-the weak orders of n objects are the completions of the order that mentions
-none of them.  The blowup is guarded by a hard cap; exceeding it raises
-instead of truncating silently.
+which one generator builds once per process by inserting each unmentioned
+object into every row; the weak orders of n objects are the completions of the
+order that mentions none of them.  The blowup is guarded by a hard cap;
+exceeding it raises instead of truncating silently.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,46 +24,37 @@ from .model import WeakOrder
 DEFAULT_ENUMERATION_CAP = 8
 
 
-def _completions(fixed: Sequence[int]) -> NDArray[np.signedinteger]:
-    """Every canonical rank vector agreeing with ``fixed``, one per row, in
-    the order the insertions make them (not sorted).
+@functools.cache
+def _shape_table(m: int, u: int) -> NDArray[np.signedinteger]:
+    """The read-only completions of the shape (m, u): the chain of m singleton
+    classes, columns 0..m-1, followed by u unmentioned objects, one per row,
+    in the order the insertions make them (not sorted).
 
-    ``fixed`` is a partial order's rank vector (-1 = unmentioned).  Each
-    unmentioned object in turn is inserted into every row: a row with k
-    classes has 2k + 1 children, where choice 2g + 1 joins class g and choice
-    2g opens a new class at gap g, shifting the ranks >= g up by one.  A
-    completion's restriction to the objects placed so far fixes each earlier
-    choice, so every completion is made exactly once.
+    Objects tied in a partial order stay tied in every completion, so each of
+    its m classes completes like one object: up to a relabelling of columns,
+    the completions of every order with m classes and u unmentioned objects
+    are this table's rows.  Each unmentioned object in turn is inserted into
+    every row: a row with k classes has 2k + 1 children, where choice 2g + 1
+    joins class g and choice 2g opens a new class at gap g, shifting the ranks
+    >= g up by one.  A completion's restriction to the objects placed so far
+    fixes each earlier choice, so every completion is made exactly once.
+
+    Orders of one shape recur, so the table is built once per process.
+    ``compatible_tpos`` keeps the tables of width m + u <=
+    DEFAULT_ENUMERATION_CAP, 44 shapes in at most 12,337,512 bytes, and
+    builds a wider one, reached only with a raised cap, on each call.
     """
-    # the smallest type holding -1..n-1: int8, an eighth of int64's memory, up to n = 128
-    ranks = np.array([fixed], dtype=np.min_scalar_type(-len(fixed)))
-    for obj in np.flatnonzero(ranks[0] < 0):
+    # the smallest type holding -1..m+u-1: int8, an eighth of int64's memory, up to m + u = 128
+    ranks = np.array([(*range(m), *(-1,) * u)], dtype=np.min_scalar_type(-(m + u)))
+    for obj in range(m, m + u):
         children = 2 * ranks.max(axis=1).astype(np.intp) + 3
         ranks = np.repeat(ranks, children, axis=0)
         choice = np.arange(len(ranks)) - np.repeat(np.cumsum(children) - children, children)
         gap = choice // 2
         ranks += (choice % 2 == 0)[:, None] & (ranks >= gap[:, None])
         ranks[:, obj] = gap
+    ranks.flags.writeable = False
     return ranks
-
-
-@functools.cache
-def _shape_table(m: int, u: int) -> NDArray[np.signedinteger]:
-    """The read-only completions of the shape (m, u): the chain of m singleton
-    classes, columns 0..m-1, followed by u unmentioned objects, in
-    ``_completions``' order.
-
-    Objects tied in a partial order stay tied in every completion, so each of
-    its m classes completes like one object: up to a relabelling of columns,
-    the completions of every order with m classes and u unmentioned objects
-    are this table's rows.  Orders of one shape recur, so the table is built
-    once per process.  ``compatible_tpos`` keeps the tables of width m + u <=
-    DEFAULT_ENUMERATION_CAP, 44 shapes in at most 12,337,512 bytes, and
-    builds a wider one, reached only with a raised cap, on each call.
-    """
-    table = _completions((*range(m), *(-1,) * u))
-    table.flags.writeable = False
-    return table
 
 
 def _check_size(n: int, cap: int | None) -> None:

@@ -100,11 +100,10 @@ class TestGrid:
         assert bfm_distance(*worked_pair).grid.shape == (5, 5)
 
     def test_grid_over_the_cell_limit_is_refused_before_any_completion(self, monkeypatch):
-        def generate(fixed):
+        def generate(m, u):
             raise AssertionError("a completion was generated")
 
-        prefdist.enumeration._shape_table.cache_clear()  # a kept table would skip the generator
-        monkeypatch.setattr(prefdist.enumeration, "_completions", generate)
+        monkeypatch.setattr(prefdist.enumeration, "_shape_table", generate)
         message = "a 545835 x 545835 completion grid exceeds the limit of 21930489 cells"
         with pytest.raises(CapExceededError, match=f"^{message}$"):
             bfm_distance(WeakOrder(((0,),), 8), WeakOrder(((1,),), 8))

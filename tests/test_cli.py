@@ -786,6 +786,29 @@ class TestClosedPipe:
         env.pop("PYTHONUNBUFFERED", None)
         assert self.outcome(argv, 0, env) == (1, b"")
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists no open descriptors")
+    def test_broken_replies_in_one_process_leave_no_descriptor_open(self, monkeypatch):
+        class BrokenStdout(io.TextIOBase):
+            """A stdout whose reader has gone, on a copy of a real descriptor."""
+
+            def write(self, text):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        argv = ["dist", "--objects", "A,B,C", "--pref1", "C>A", "--pref2", "A>B"]
+        fd = os.dup(2)
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            for _ in range(5):
+                assert main(argv) == 1
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            os.close(fd)
+        assert after == before
+
 
 def parse_outcome(parse, argv):
     """The namespace ``parse`` makes of ``argv``, less its ``command``; or the
@@ -821,10 +844,11 @@ def handlers_return_their_namespace():
 
 
 def assert_dispatch_matches_the_full_parser(argv):
-    """``main`` hands a call straight to its subcommand's parser; the full
-    parser, reading the whole argv, is the reference."""
+    """``main`` reads a plain call from the grammar's table and hands any other
+    to the full parser; the full parser, reading the whole argv, is the
+    reference."""
     with handlers_return_their_namespace():
-        parser, _ = cli._build_parser()
+        parser = cli._build_parser()
         assert parse_outcome(main, argv) == parse_outcome(parser.parse_args, argv)
 
 
@@ -941,6 +965,46 @@ class TestPlainPath:
             main(argv)
 
 
+def subcommand_dispatch(argv):
+    """``_parse`` as it read a call that names a subcommand and that the plain
+    path refuses: that subcommand's parser alone reads the rest, and the
+    top-level parser reports the words left over.  The reference for handing
+    such a call whole to the top-level parser."""
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+    if command is not None:
+        args = cli._plain_args(command, argv[1:])
+        if args is not None:
+            return args
+    parser = cli._build_parser()
+    if command is not None:
+        (subparsers,) = [action for action in parser._actions if action.dest == "command"]
+        args, extras = subparsers.choices[command].parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+        return args
+    return parser.parse_args(argv)
+
+
+def main_outcome(capsys, argv):
+    """The code ``main(argv)`` returns or exits with, and what it printed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSubcommandDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS + FALLBACK_ARGVS, ids=" ".join)
+    def test_main_answers_as_the_subcommand_dispatch(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap alike on both sides
+        monkeypatch.chdir(tmp_path)  # where dist-general's one.json and two.json name no file
+        actual = main_outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse", subcommand_dispatch)
+        assert main_outcome(capsys, argv) == actual
+
+
 #: Each subcommand's help text, handler and actions: option strings, dest,
 #: type, choices, default, required and help, as the parsers read them before
 #: the grammar became a table.
@@ -1006,7 +1070,7 @@ GRAMMAR = {
 
 class TestGrammar:
     def test_the_parsers_built_from_the_table_hold_the_pinned_grammar(self):
-        parser, commands = cli._build_parser()
+        parser = cli._build_parser()
         (subparsers,) = [action for action in parser._actions if action.dest == "command"]
         helps = {action.dest: action.help for action in subparsers._choices_actions}
         built = {
@@ -1019,7 +1083,7 @@ class TestGrammar:
                     for action in sub._actions
                 ],
             )
-            for name, sub in commands.items()
+            for name, sub in subparsers.choices.items()
         }
         assert list(built) == list(GRAMMAR)
         for name, expected in GRAMMAR.items():

@@ -75,7 +75,7 @@ from prefdist import (
     render_preference,
 )
 from prefdist import bfm, cli
-from prefdist.enumeration import _shape_table
+from prefdist.enumeration import _completion_count, _shape_table
 from prefdist.model import _LABEL, render_ranks
 from prefdist.psm import (
     _COST,
@@ -482,10 +482,11 @@ def bincount_distance(order1: WeakOrder, order2: WeakOrder, cost) -> float:
     return math.sqrt(float(((k + k.T) * np.array(cost)).sum()) / 2)
 
 
-def reference_emit(payload, fmt, report=None):  # renders every cell of the payload's grid
-    if "grid" in payload:  # the payload carries the squared distances k
+def reference_emit(payload, fmt):  # renders every cell of the payload's grid
+    if "grid" in payload:  # the payload carries the report, or the squared distances k
+        squared = getattr(payload["grid"], "squared", payload["grid"])
         maximum = reference_max_psm_distance(len(payload["objects"]), PsmConvention.SIGNED)
-        grid = [[math.sqrt(k) / maximum for k in row] for row in payload["grid"].tolist()]
+        grid = [[math.sqrt(k) / maximum for k in row] for row in squared.tolist()]
         payload = {**payload, "grid": grid}
     if fmt == "json":
         print(json.dumps(payload))
@@ -1104,7 +1105,7 @@ def test_grid_reply_is_the_reference_at_every_block_size(name, fmt, block):
             reference_emit(payload, fmt)
         actual = io.StringIO()
         with mock.patch.object(bfm, "_BLOCK_CELLS", block), contextlib.redirect_stdout(actual):
-            cli._emit(payload, fmt, writer_report(grid))
+            cli._emit({**payload, "grid": writer_report(grid)}, fmt)
         assert actual.getvalue() == expected.getvalue(), grid
 
 
@@ -1245,6 +1246,68 @@ def test_integer_grid_against_the_float_gram_product():
         assert report.hurwicz == 0.3 * optim + 0.7 * pessim, (a, b)
         mean = float(np.mean(report.grid))
         assert abs(report.aver - mean) <= 1e-12 * mean, (a, b)
+
+
+def pair_sums(order):
+    """Over the rows of ``compatible_tpos(order)``, with s = sign(r_j - r_i) for
+    each pair i < j: the sums of s^2 and of s per pair, and the number of rows."""
+    ranks = compatible_tpos(order).astype(np.int64)
+    i, j = np.triu_indices(order.universe_size, 1)
+    s = np.sign(ranks[:, j] - ranks[:, i])
+    return (s * s).sum(axis=0), s.sum(axis=0), len(ranks)
+
+
+def assert_histogram_is_the_pair_sum_identity(a, b):
+    """The histogram of k over the P x Q grid, read without the grid: a cell's k
+    is 2 sum_{i<j} (u_ij - v_ij)^2, so the k of all cells sum to
+    2 sum_{i<j} (Q A_ij + P B_ij - 2 a_ij b_ij), A and a the sums of s^2 and s
+    over order 1's completions, B and b over order 2's.  Returns whether the
+    grid writer reads this grid in pairs, past its 2m^2 gate."""
+    counts = bfm_distance(a, b).counts
+    big_a, small_a, p = pair_sums(a)
+    big_b, small_b, q = pair_sums(b)
+    assert int(counts.sum()) == p * q, (a, b)
+    total = int(np.arange(len(counts)) @ counts)
+    assert total == 2 * int((q * big_a + p * big_b - 2 * small_a * small_b).sum()), (a, b)
+    return p * q > 2 * np.count_nonzero(counts) ** 2
+
+
+def drawn_order(rng, n):
+    """An order that mentions each of n objects at a drawn rate, in drawn classes."""
+    ranks = rng.integers(0, n, size=n).tolist()
+    rate = rng.random()
+    levels = sorted({rank for rank, keep in zip(ranks, rng.random(n) < rate) if keep})
+    return WeakOrder.from_ranks([levels.index(r) if r in levels else -1 for r in ranks])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_histogram_of_every_pair_is_the_pair_sum_identity(n):
+    orders = all_partial_orders(n)
+    for a, b in itertools.product(orders, repeat=2):
+        assert_histogram_is_the_pair_sum_identity(a, b)
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_histogram_of_drawn_pairs_is_the_pair_sum_identity(n, block):
+    """300 drawn pairs, on both sides of the grid writer's gate; at n = 6 a
+    pair whose grid exceeds 10^6 cells is drawn again, to keep the test short.
+    With 64-cell blocks, the Gram product and the histogram read in many
+    blocks grids that the default sizes read in one."""
+    rng = np.random.default_rng(n)
+    sides, pairs = set(), 300
+    blocks = (
+        mock.patch.multiple(bfm, _GRAM_BLOCK_CELLS=block, _BLOCK_CELLS=block)
+        if block else contextlib.nullcontext()
+    )
+    with blocks:
+        while pairs:
+            a, b = drawn_order(rng, n), drawn_order(rng, n)
+            if n == 6 and _completion_count(a) * _completion_count(b) > 10**6:
+                continue
+            sides.add(assert_histogram_is_the_pair_sum_identity(a, b))
+            pairs -= 1
+    assert sides == {False, True}
 
 
 @pytest.mark.parametrize("convention", list(PsmConvention))
