@@ -160,15 +160,17 @@ def _cell_codes(
 @functools.lru_cache(maxsize=16)
 def _pair_table(
     maximum: float, seps: tuple[str, str, str], present: tuple[int, ...]
-) -> tuple[list[str], list[str], NDArray[np.unsignedinteger], NDArray[Any], NDArray[np.bool_]]:
-    """The pair writer's state for one (maximum, separators, present k): cell
-    texts, second-cell tails, codes, and the table of 3(m+1)^2 pair-key texts
-    with its mask of keys rendered so far.  Replies sharing a key fill one
-    table; the cache keeps at most 16, each the size one reply needs."""
+) -> tuple[NDArray[np.unsignedinteger], NDArray[Any]]:
+    """The pair writer's codes and table for one (maximum, separators, present
+    k), both read-only: the table holds the text of all 3(m+1)^2 pair keys,
+    built whole on first use.  The cache keeps at most 16; the largest at n = 6
+    (m = 58) holds 0.95 MiB."""
     texts, codes = _cell_codes(maximum, np.array(present, dtype=np.intp))
     tails = [""] + [seps[0] + text for text in texts[1:]]  # a second cell, or none
-    size = 3 * len(texts) ** 2
-    return texts, tails, codes, np.empty(size, dtype=object), np.zeros(size, dtype=bool)
+    table = np.array([a + b + sep for sep in seps for a in texts for b in tails], dtype=object)
+    codes.flags.writeable = False
+    table.flags.writeable = False
+    return codes, table
 
 
 def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
@@ -183,9 +185,8 @@ def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
     k, is joined row by row.  A larger one is read two adjacent cells at a
     time (an odd last column alone): a slot's key, in the smallest unsigned
     type that holds them all, gives its cells' codes 1..m (0: no second cell)
-    and the separator after it.  A table, kept across replies by
-    :func:`_pair_table`, holds the text of each key met so far, so a block is
-    one lookup and one join.
+    and the separator after it.  The read-only table of every key's text, kept
+    across replies by :func:`_pair_table`, makes a block one lookup and one join.
     """
     squared = report.squared
     present = np.flatnonzero(report.counts)
@@ -199,9 +200,7 @@ def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
             block = cells.take(codes.take(squared[start : start + step])).tolist()
             yield seps[1].join(map(seps[0].join, block)) + seps[2 if start + step >= rows else 1]
         return
-    texts, tails, codes, table, rendered = _pair_table(
-        report.maximum, seps, tuple(present.tolist())
-    )
+    codes, table = _pair_table(report.maximum, seps, tuple(present.tolist()))
     base = m + 1
     span = base * base  # keys followed by one separator
     for start in range(0, rows, step):
@@ -212,14 +211,4 @@ def grid_text(report: BfmReport, seps: tuple[str, str, str]) -> Iterator[str]:
         keys[:, -1] += span
         if start + step >= rows:
             keys[-1, -1] += span
-        keys = keys.ravel()
-        if not rendered.take(keys).all():
-            new = np.flatnonzero((np.bincount(keys, minlength=3 * span) > 0) & ~rendered)
-            after, key = np.divmod(new, span)
-            first, second = np.divmod(key, base)
-            table[new] = [
-                texts[i] + tails[j] + seps[k]
-                for i, j, k in zip(first.tolist(), second.tolist(), after.tolist())
-            ]
-            rendered[new] = True  # after the texts: no reply, cut short or in a thread, reads None
-        yield "".join(table.take(keys).tolist())
+        yield "".join(table.take(keys.ravel()).tolist())

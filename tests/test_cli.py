@@ -187,8 +187,9 @@ class TestDist:
         assert bfm._pair_table.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_writer_cache_after_a_reply_at_the_grid_cell_limit_is_small(self):
-        """The 4683 x 4683 grid's table has 3 * 62^2 slots, at most one string
-        each: what the cache keeps after the reply is under 2 MB (0.4 MB here)."""
+        """The 4683 x 4683 grid of ``a`` against ``b`` holds m = 58 distinct k,
+        so its table has 3 * 59^2 = 10,443 slots, one string each: what the
+        cache keeps after the reply is under 2 MiB (0.95 MiB under tracemalloc)."""
         argv = [
             "dist", "--method", "bfm", "--objects", "a,b,c,d,e,f",
             "--pref1", "a", "--pref2", "b",
@@ -760,7 +761,8 @@ class TestClosedPipe:
         )
         assert len(child.stdout.read(read)) == read
         child.stdout.close()
-        err = child.stderr.read()
+        with child.stderr:
+            err = child.stderr.read()
         return child.wait(), err
 
     @pytest.mark.parametrize(

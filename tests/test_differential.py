@@ -1167,9 +1167,9 @@ def test_cached_pair_table_interleaved_is_the_reference():
 
 
 def test_cached_pair_table_after_a_closed_reply_is_the_reference():
-    """A reply closed after its first block leaves the keys of later blocks
-    unrendered; the next reply on the same key renders them, and two replies
-    read alternately share the table."""
+    """A reply closed after its first block leaves its table whole and
+    read-only; the next reply on the same key reads it, and two replies read
+    alternately share it."""
     first, rest = [[0, 8] * 4] * 5, [[16, 24] * 4] * 5  # 10 x 8, m = 4: in pairs
     squared = np.array(first + rest, dtype=np.uint8)
     other = np.array(rest[:3] + first, dtype=np.uint8)
@@ -1179,9 +1179,11 @@ def test_cached_pair_table_after_a_closed_reply_is_the_reference():
         closed = bfm.grid_text(writer_report(squared), seps)
         next(closed)
         closed.close()
-        *_, table, rendered = bfm._pair_table(max_psm_distance(3), seps, (0, 8, 16, 24))
-        assert 0 < rendered.sum() < len(rendered)
-        assert all(isinstance(text, str) for text in table[rendered])
+        codes, table = bfm._pair_table(max_psm_distance(3), seps, (0, 8, 16, 24))
+        assert all(isinstance(text, str) for text in table)
+        for array in (table, codes):
+            with pytest.raises(ValueError):
+                array[0] = array[1]
         assert "".join(bfm.grid_text(writer_report(squared), seps)) == reference_grid_text(
             squared, 3, seps
         )
@@ -1195,8 +1197,8 @@ def test_cached_pair_table_after_a_closed_reply_is_the_reference():
 
 def test_cached_pair_table_shared_by_threads_is_the_reference():
     """Threads, more than cores, writing grids of one table key with a short
-    switch interval: a slot marked rendered before its text is stored would
-    let another thread join a None."""
+    switch interval, each clearing the cache before every reply: no thread
+    reads a table that is still being built."""
     rng = np.random.default_rng(33)
     present = np.arange(0, 25, 2)  # every k at n = 3: 13 codes, 588 pair keys
     grids = [rng.choice(present, (60, 61)).astype(np.uint8) for _ in range(6)]
